@@ -101,6 +101,8 @@ class ExperimentSpec:
         for e in self.eta:
             if not 0.0 <= e <= 1.0:
                 raise SpecError(f"eta must be in [0, 1], got {e}")
+            if self.mode == "compare" and e == 1.0:
+                raise SpecError("compare needs eta < 1: at eta=1 the gap law has no density")
         for k in self.k:
             if k < 1:
                 raise SpecError(f"k must be >= 1, got {k}")

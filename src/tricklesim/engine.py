@@ -2,15 +2,18 @@
 
 Every node runs the suppression timer with a fixed interval length
 ``tau_h`` (the steady-state regime: all messages consistent, intervals
-never shrink or grow).  Events are pre-generated per node from independent
-seeded streams, merged into one time-ordered schedule, and swept once.
-Two topology-specific sweeps share that schedule:
+never shrink or grow).  Each node's interval starts and timer fires are
+pre-generated from its own seeded stream; simultaneous events are ordered
+by (time, node id, per-node sequence).  Each topology has its own kernel:
 
-* single cell -- every node hears every transmission, so a node's message
-  counter equals the number of network-wide transmissions since its own
-  interval started (a snapshot subtraction instead of per-node counters);
-* grid -- per-node counters, bumped for all lattice neighbors in range of
-  each sender.
+* single cell -- every node hears every transmission, so a fire transmits
+  iff the k-th most recent transmission came before the firing node's
+  interval start.  Only the fires are sorted, each tagged with the number
+  of fires ahead of its interval start, and a chunked vectorized scan
+  steps through the candidate transmitters alone;
+* grid -- interval starts and fires are merged into one schedule and swept
+  event by event with per-node counters, bumped for all lattice neighbors
+  in range of each sender.
 
 Determinism: node ``i``'s draws come from a stream derived from
 ``(seed, i)``, so runs are bit-reproducible and changing the node count
@@ -143,70 +146,106 @@ def node_schedule(config: SimRunConfig, node_id: int) -> tuple[float, np.ndarray
     return s, thetas
 
 
+def _intervals(config: SimRunConfig, n: int):
+    """Every node's intervals, node-major: (node, start, fire) per interval."""
+    tau = config.trickle.tau_h
+    skews, thetas = zip(*(node_schedule(config, i) for i in range(n)))
+    counts = np.array([th.size for th in thetas], dtype=np.intp)
+    node = np.repeat(np.arange(n), counts)
+    s = np.repeat(np.asarray(skews, dtype=np.float64), counts)
+    j = np.arange(node.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    starts = s + tau * j
+    # Cap each fire at the next interval start as computed here, so a fire
+    # at offset tau (eta = 1, or rounding on the last ulp) compares equal to
+    # the rollover time and the tie-break keeps it inside its own interval.
+    fires = np.minimum(starts + np.concatenate(thetas), s + tau * (j + 1))
+    return node, starts, fires
+
+
 def _event_schedule(config: SimRunConfig, n: int):
-    """Merged, time-ordered event arrays for all nodes.
+    """Merged, time-ordered event arrays for all nodes of a grid.
 
     Returns (times, nodes, is_fire) with simultaneous events ordered by
     (time, node id, per-node sequence).  The per-node sequence interleaves
     interval starts and fires (start_j < fire_j < start_{j+1}), which keeps
     the two degenerate corners right: a fire at offset zero lands after its
     own interval start, and a fire at offset tau (eta = 1) lands before the
-    next interval start.
+    next interval start.  The arrays are built in (node, sequence) order, so
+    one stable sort on time yields the full three-key order.
     """
-    tau = config.trickle.tau_h
-    dur = config.duration
-    times = []
-    nodes = []
-    seqs = []
-    for i in range(n):
-        s, thetas = node_schedule(config, i)
-        j = np.arange(thetas.size)
-        starts = s + tau * j
-        # Cap each fire at the next interval start as computed below, so a
-        # fire at offset tau (eta = 1, or rounding on the last ulp) compares
-        # equal to the rollover time and the sequence tie-break keeps it
-        # inside its own interval.
-        fires = np.minimum(starts + thetas, s + tau * (j + 1))
-        t_i = np.concatenate([starts, fires])
-        q_i = np.concatenate([2 * j, 2 * j + 1])
-        keep = t_i <= dur
-        times.append(t_i[keep])
-        seqs.append(q_i[keep])
-        nodes.append(np.full(int(keep.sum()), i, dtype=np.intp))
-    t = np.concatenate(times)
-    node = np.concatenate(nodes)
-    seq = np.concatenate(seqs)
-    order = np.lexsort((seq, node, t))
-    return t[order], node[order], (seq[order] & 1).astype(np.uint8)
+    node, starts, fires = _intervals(config, n)
+    t = np.empty(2 * starts.size)
+    t[0::2] = starts
+    t[1::2] = fires
+    keep = t <= config.duration
+    t = t[keep]
+    order = np.argsort(t, kind="stable")
+    nodes = np.repeat(node, 2)[keep]
+    is_fire = np.tile([False, True], starts.size)[keep]
+    return t[order], nodes[order], is_fire[order]
 
 
-def _sweep_single_cell(times, nodes, is_fire, n: int, k: int, record_attempts: bool):
-    """Single-cell sweep via snapshot subtraction.
+def _cell_fires(config: SimRunConfig, n: int):
+    """Every fire of a single cell, in (time, node) order.
 
-    ``snap[i]`` is the global transmission count when node ``i``'s current
-    interval began; the node's heard-message counter is the difference.  A
-    node's own broadcast never contributes: it happens at the moment the
-    difference is evaluated and the node fires at most once per interval.
+    Returns (times, nodes, lo) where ``lo[p]`` is the number of fires that
+    precede fire ``p``'s own interval start in the (time, node, sequence)
+    order.  A fire at exactly a start time precedes that start iff its node
+    id is no larger; that tie-break keeps eta = 1 and synchronized skew
+    exact.  (A node's own fire at offset zero also counts under it, giving
+    ``lo[p] = p + 1``, which the sweep treats the same as ``p``.)
     """
-    snap = [0] * n
-    txc = 0
-    tx_t: list[float] = []
-    tx_i: list[int] = []
-    att: list[float] | None = [] if record_attempts else None
-    for t, i, fire in zip(times.tolist(), nodes.tolist(), is_fire.tolist()):
-        if fire:
-            if att is not None:
-                att.append(t)
-            if txc - snap[i] < k:
-                txc += 1
-                tx_t.append(t)
-                tx_i.append(i)
-        else:
-            snap[i] = txc
-    return tx_t, tx_i, att
+    node, start, t = _intervals(config, n)
+    keep = t <= config.duration
+    t = t[keep]
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    node = node[keep][order]
+    start = start[keep][order]
+    lo = np.searchsorted(t, start)
+    tie = np.flatnonzero(t[np.minimum(lo, t.size - 1)] == start)
+    if tie.size:
+        # Rank fires by (first position of their time, node); a tied start
+        # then sits after every fire of its time with node id <= its own.
+        new_time = np.ones(t.size, dtype=bool)
+        new_time[1:] = t[1:] != t[:-1]
+        first = np.maximum.accumulate(np.where(new_time, np.arange(t.size), 0))
+        lo[tie] = np.searchsorted(first * n + node, lo[tie] * n + node[tie], side="right")
+    return t, node, lo
 
 
-def _sweep_grid(times, nodes, is_fire, neighbors, k: int, record_attempts: bool):
+# Fewest fires scanned per vectorized step of the single-cell sweep.
+_MIN_CHUNK = 256
+
+
+def _sweep_single_cell(lo: np.ndarray, k: int) -> np.ndarray:
+    """Sorted positions of the transmitting fires of a single cell.
+
+    Every node hears every transmission, so fire ``p`` transmits iff fewer
+    than ``k`` transmissions lie at positions ``[lo[p], p)``: iff
+    ``lo[p] > thr``, where ``thr`` is the position of the k-th most recent
+    transmission (-1 while there are fewer than k).  ``thr`` only grows, so
+    the fires of a chunk that pass the test against the chunk's starting
+    ``thr`` are a superset of its transmissions; only those are re-tested
+    one by one.
+    """
+    tx: list[int] = []
+    thr = -1
+    pos = 0
+    while pos < lo.size:
+        end = pos + max(_MIN_CHUNK, pos - thr)
+        seg = lo[pos:end]
+        cand = np.flatnonzero(seg > thr)
+        for p, lo_p in zip((cand + pos).tolist(), seg[cand].tolist()):
+            if lo_p > thr:
+                tx.append(p)
+                if len(tx) >= k:
+                    thr = tx[-k]
+        pos = end
+    return np.asarray(tx, dtype=np.intp)
+
+
+def _sweep_grid(times, nodes, is_fire, neighbors, k: int):
     """Grid sweep with explicit per-node counters; a transmission bumps the
     counter of every in-range node at the same timestamp, before any later
     event is processed."""
@@ -214,18 +253,15 @@ def _sweep_grid(times, nodes, is_fire, neighbors, k: int, record_attempts: bool)
     c = np.zeros(n, dtype=np.int64)
     tx_t: list[float] = []
     tx_i: list[int] = []
-    att: list[float] | None = [] if record_attempts else None
     for t, i, fire in zip(times.tolist(), nodes.tolist(), is_fire.tolist()):
         if fire:
-            if att is not None:
-                att.append(t)
             if c[i] < k:
                 c[neighbors[i]] += 1
                 tx_t.append(t)
                 tx_i.append(i)
         else:
             c[i] = 0
-    return tx_t, tx_i, att
+    return np.asarray(tx_t, dtype=np.float64), np.asarray(tx_i, dtype=np.intp)
 
 
 def run(config: SimRunConfig) -> SimStats:
@@ -237,21 +273,20 @@ def run(config: SimRunConfig) -> SimStats:
     produce bit-identical results.
     """
     n = num_nodes(config.topology)
-    times, nodes, is_fire = _event_schedule(config, n)
+    k = config.trickle.k
     if isinstance(config.topology, SingleCell):
-        tx_t, tx_i, att = _sweep_single_cell(
-            times, nodes, is_fire, n, config.trickle.k, config.record_attempts
-        )
+        fire_t, fire_i, lo = _cell_fires(config, n)
+        tx = _sweep_single_cell(lo, k)
+        tx_times, tx_nodes = fire_t[tx], fire_i[tx]
     else:
-        nbrs = neighbor_table(config.topology)
-        tx_t, tx_i, att = _sweep_grid(
-            times, nodes, is_fire, nbrs, config.trickle.k, config.record_attempts
+        times, nodes, is_fire = _event_schedule(config, n)
+        tx_times, tx_nodes = _sweep_grid(
+            times, nodes, is_fire, neighbor_table(config.topology), k
         )
+        fire_t = times[is_fire]
 
     tau = config.trickle.tau_h
     warm, dur = config.warmup, config.duration
-    tx_times = np.asarray(tx_t, dtype=np.float64)
-    tx_nodes = np.asarray(tx_i, dtype=np.intp)
     m = (tx_times > warm) & (tx_times <= dur)
     tx_times = tx_times[m]
     tx_nodes = tx_nodes[m]
@@ -268,9 +303,8 @@ def run(config: SimRunConfig) -> SimStats:
     per_node = dict(enumerate(np.bincount(tx_nodes, minlength=n).tolist()))
 
     attempts = None
-    if att is not None:
-        a = np.asarray(att, dtype=np.float64)
-        attempts = a[(a > warm) & (a <= dur)]
+    if config.record_attempts:
+        attempts = fire_t[(fire_t > warm) & (fire_t <= dur)]
 
     return SimStats(
         config=config,

@@ -120,6 +120,8 @@ def test_spec_validation_errors():
         build_spec("multicell", _Args(k="1", eta="0"))  # range grid missing
     with pytest.raises(SpecError):
         build_spec("simulate", _Args(k="1", n="10", replications=0))
+    with pytest.raises(SpecError):
+        build_spec("compare", _Args(k="1", n="10", eta="0,1"))  # no gap density at eta=1
 
 
 def test_comment_is_deterministic():
@@ -243,6 +245,13 @@ def test_exit_code_2_on_config_error(tmp_path):
                    "--warmup", "5", "--out", str(tmp_path)) == 2
     assert run_cli("simulate", "--k", "1", "--n", "10", "--spec",
                    str(tmp_path / "missing.spec")) == 2
+
+
+def test_compare_eta_one_exits_2_without_output(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("compare", "--k", "1", "--n", "20", "--eta", "1", "--replications", "2",
+                   "--duration", "20", "--out", str(out)) == 2
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -223,32 +223,75 @@ def test_synchronized_schedule_has_no_skew_draw():
     ],
 )
 def test_single_cell_matches_reference(k, n, eta, skew):
-    cfg = cell_cfg(k, n, eta, duration=23.0, warmup=2.0, seed=123, skew=skew,
-                   record_attempts=True)
+    assert_matches_reference(cell_cfg(k, n, eta, duration=23.0, warmup=2.0, seed=123,
+                                      skew=skew, record_attempts=True))
+
+
+def assert_matches_reference(cfg):
     st = run(cfg)
     att, tx_t, tx_i = reference_run(cfg)
-    m = (tx_t > 2.0) & (tx_t <= 23.0)
+    m = (tx_t > cfg.warmup) & (tx_t <= cfg.duration)
     assert np.array_equal(st.transmission_times, tx_t[m])
     assert np.array_equal(st.transmission_nodes, tx_i[m])
-    am = (att > 2.0) & (att <= 23.0)
+    am = (att > cfg.warmup) & (att <= cfg.duration)
     assert np.array_equal(st.attempt_times, att[am])
+
+
+@pytest.mark.parametrize(
+    "k,n,eta,skew",
+    [
+        # about 12k fires: the sweep crosses many chunk boundaries
+        (1, 300, 0.0, Skew.UNIFORM_RANDOM),
+        (1, 300, 0.5, Skew.UNIFORM_RANDOM),
+        (3, 300, 0.0, Skew.UNIFORM_RANDOM),
+        (3, 300, 0.5, Skew.UNIFORM_RANDOM),
+        (16, 300, 0.0, Skew.UNIFORM_RANDOM),
+        (16, 300, 0.5, Skew.UNIFORM_RANDOM),
+        (1, 1, 0.0, Skew.UNIFORM_RANDOM),
+        (2, 1, 1.0, Skew.SYNCHRONIZED),
+        (5, 5, 0.0, Skew.UNIFORM_RANDOM),  # k >= n
+        (30, 12, 0.3, Skew.UNIFORM_RANDOM),  # k >= 2(n-1): nothing is suppressed
+        (2, 40, 0.5, Skew.SYNCHRONIZED),
+        (2, 40, 1.0, Skew.SYNCHRONIZED),
+    ],
+)
+def test_single_cell_matches_reference_long(k, n, eta, skew):
+    assert_matches_reference(cell_cfg(k, n, eta, duration=40.0, warmup=2.0, seed=9,
+                                      skew=skew, record_attempts=True))
+
+
+@pytest.mark.parametrize("k,eta", [(1, 0.0), (2, 0.0), (1, 1.0), (2, 1.0)])
+def test_single_cell_matches_all_in_range_grid(k, eta):
+    # node schedules depend only on (seed, node), so a grid whose radio range
+    # covers the whole torus is the same cell swept by the grid kernel
+    def cfg(topology):
+        return SimRunConfig(
+            trickle=TrickleConfig(k=k, tau_l=1.0, tau_h=1.0, eta=eta),
+            topology=topology,
+            duration=60.0,
+            warmup=5.0,
+            seed=41,
+            record_attempts=True,
+        )
+
+    cell = run(cfg(SingleCell(25)))
+    grid = run(cfg(Grid(side=5, radio_range=10.0)))
+    assert cell.total_transmissions > 0
+    assert np.array_equal(cell.transmission_times, grid.transmission_times)
+    assert np.array_equal(cell.transmission_nodes, grid.transmission_nodes)
+    assert np.array_equal(cell.attempt_times, grid.attempt_times)
 
 
 @pytest.mark.parametrize("k,r,eta", [(1, 1.0, 0.0), (2, 1.5, 0.5), (1, 2.2, 1.0)])
 def test_grid_matches_reference(k, r, eta):
-    cfg = SimRunConfig(
+    assert_matches_reference(SimRunConfig(
         trickle=TrickleConfig(k=k, tau_l=1.0, tau_h=1.0, eta=eta),
         topology=Grid(side=4, radio_range=r),
         duration=17.0,
         warmup=2.0,
         seed=321,
         record_attempts=True,
-    )
-    st = run(cfg)
-    att, tx_t, tx_i = reference_run(cfg)
-    m = (tx_t > 2.0) & (tx_t <= 17.0)
-    assert np.array_equal(st.transmission_times, tx_t[m])
-    assert np.array_equal(st.transmission_nodes, tx_i[m])
+    ))
 
 
 def test_reference_fuzz_many_seeds():
