@@ -4,7 +4,7 @@ Subpackage map:
 
 * :mod:`tricklesim.core` -- the pure per-node state machine;
 * :mod:`tricklesim.topology` -- single-cell and square-grid networks;
-* :mod:`tricklesim.engine` -- seeded discrete-event simulation and sweeps;
+* :mod:`tricklesim.engine` -- seeded discrete-event simulation and replication;
 * :mod:`tricklesim.residual` -- residual-lifetime Markov chains for an
   arbitrary lifetime distribution;
 * :mod:`tricklesim.analytics` -- closed-form/quadrature evaluation of the

@@ -35,6 +35,7 @@ __all__ = [
     "mean_T1",
     "mean_N1",
     "conditional_cdf_T2",
+    "NORM_CONST_MAX_K",
     "norm_const",
     "joint_density",
     "sigma_density",
@@ -178,11 +179,16 @@ def _trunc_upper(k: int, sigma: float) -> float:
     return (12.0 + 3.0 * math.sqrt(k)) * sigma
 
 
+# Largest k whose normalization constant is evaluated: the finite-sum form
+# divides floats by (k-1)!, which leaves the float range at k = 172.
+NORM_CONST_MAX_K = 150
+
+
 @lru_cache(maxsize=None)
 def _norm_const_cached(k: int, n: int, eta: float) -> float:
     if k == 1:
         return 1.0
-    if k > 150:
+    if k > NORM_CONST_MAX_K:
         raise ValueError(f"k={k} too large for direct factorial evaluation")
     if eta == 1.0:
         # The Gaussian term vanishes (zero-width kernel); only the

@@ -27,7 +27,10 @@ whose entries override flags.  Profiles bundle replication counts:
 the full size (1000 x 100 units).
 
 Exit codes: 0 success; 1 a validation threshold was exceeded; 2
-configuration error; 3 numerical failure.
+configuration error (bad flags or spec file, rejected before any work is
+done; or too short a run to measure anything) or an i/o error; 3
+numerical failure.  Any other exception is a bug and propagates with its
+traceback.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from . import analytics as an
 from . import residual as rm
 from .core import TrickleConfig
 from .csvio import fmt_value, version_string, write_csv
-from .engine import SimRunConfig, replication_seeds, run
+from .engine import SimRunConfig, replicate
 from .topology import Grid, SingleCell, cell_size
 from .quadrature import QuadratureError
 
@@ -86,10 +89,19 @@ class ExperimentSpec:
             raise SpecError(f"replications must be >= 1, got {self.replications}")
         if self.histogram_bins < 1:
             raise SpecError(f"bins must be >= 1, got {self.histogram_bins}")
-        if not self.duration > self.warmup >= 0:
+        if not self.duration > self.warmup >= 0 or math.isinf(self.duration):
             raise SpecError(
-                f"need duration > warmup >= 0, got duration={self.duration} warmup={self.warmup}"
+                f"need finite duration > warmup >= 0, got duration={self.duration} "
+                f"warmup={self.warmup}"
             )
+        # Runs use unit intervals, so windows are [w, w+1) for integer w.
+        if math.floor(self.duration) - math.ceil(self.warmup) < 1:
+            raise SpecError(
+                f"no whole unit window between warmup={self.warmup:g} and "
+                f"duration={self.duration:g}"
+            )
+        if self.seed < 0:
+            raise SpecError(f"seed must be >= 0, got {self.seed}")
         if self.mode in ("simulate", "analytic", "compare"):
             if not self.k or not self.n or not self.eta:
                 raise SpecError(f"mode {self.mode} needs non-empty --k, --n, --eta grids")
@@ -106,6 +118,13 @@ class ExperimentSpec:
         for k in self.k:
             if k < 1:
                 raise SpecError(f"k must be >= 1, got {k}")
+        # norm_const is evaluated up to k+3 by the moments of the analytic
+        # table, up to k+1 by the multicell estimate.
+        reach = {"analytic": 3, "compare": 0, "multicell": 1}.get(self.mode)
+        if reach is not None and max(self.k) + reach > an.NORM_CONST_MAX_K:
+            raise SpecError(
+                f"mode {self.mode} needs k <= {an.NORM_CONST_MAX_K - reach}, got {max(self.k)}"
+            )
         for n in self.n:
             if n < 1:
                 raise SpecError(f"n must be >= 1, got {n}")
@@ -148,7 +167,7 @@ def _parse_list(text: str, conv, what: str) -> list:
 
 def _parse_int(text: str) -> int:
     f = float(text)
-    if f != int(f):
+    if not f.is_integer():
         raise ValueError(text)
     return int(f)
 
@@ -196,7 +215,10 @@ def build_spec(mode: str, args: argparse.Namespace) -> ExperimentSpec:
     def resolved(key: str, flag_value, default, conv):
         v = overrides.get(key)
         if v is not None:
-            return conv(v)
+            try:
+                return conv(v)
+            except ValueError as exc:
+                raise SpecError(f"bad {key} value {v!r} in spec file") from exc
         if flag_value is not None:
             return flag_value if not isinstance(flag_value, str) else conv(flag_value)
         return default
@@ -221,12 +243,7 @@ def build_spec(mode: str, args: argparse.Namespace) -> ExperimentSpec:
         histogram_bins=resolved("bins", args.bins, 60, _parse_int),
         ks_threshold=resolved("ks_threshold", args.ks_threshold, 0.05, float),
     )
-    try:
-        spec.validate()
-    except SpecError:
-        raise
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
+    spec.validate()
     return spec
 
 
@@ -241,29 +258,6 @@ def _cell_config(spec: ExperimentSpec, k: int, n: int, eta: float) -> SimRunConf
         warmup=spec.warmup,
         seed=spec.seed,
     )
-
-
-def _pooled_cell(spec: ExperimentSpec, k: int, n: int, eta: float):
-    """Replicated single-cell runs: pooled per-interval counts and gaps."""
-    cfg = _cell_config(spec, k, n, eta)
-    counts, gaps = [], []
-    for s in replication_seeds(cfg.seed, spec.replications):
-        st = run(
-            SimRunConfig(
-                trickle=cfg.trickle, topology=cfg.topology, duration=cfg.duration,
-                warmup=cfg.warmup, seed=s, skew=cfg.skew,
-            )
-        )
-        counts.append(st.per_interval_counts)
-        gaps.append(st.inter_transmission_times)
-    pool = np.concatenate(counts)
-    std = float(pool.std(ddof=1)) if pool.size > 1 else 0.0
-    return {
-        "mean": float(pool.mean()),
-        "std": std,
-        "ci": 1.96 * std / math.sqrt(pool.size),
-        "gaps": np.concatenate(gaps),
-    }
 
 
 def _analytic_cdf_callable(p: an.AnalyticParams, tmax: float):
@@ -284,10 +278,6 @@ def _analytic_cdf_callable(p: an.AnalyticParams, tmax: float):
     return cdf
 
 
-def _analytic_pdf(p: an.AnalyticParams, t: float) -> float:
-    return an.pdf_T1(t, p) if p.k == 1 else an.pdf_T(t, p)
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -296,14 +286,14 @@ def cmd_simulate(spec: ExperimentSpec) -> int:
     for k in spec.k:
         for n in spec.n:
             for eta in spec.eta:
-                cell = _pooled_cell(spec, k, n, eta)
+                cell = replicate(_cell_config(spec, k, n, eta), spec.replications)
                 count_rows.append(
-                    (k, n, eta, cell["mean"], cell["std"], cell["ci"], spec.replications)
+                    (k, n, eta, cell.mean, cell.std, cell.ci_halfwidth, spec.replications)
                 )
-                gap_rows.extend((k, n, eta, g) for g in cell["gaps"].tolist())
+                gap_rows.extend((k, n, eta, g) for g in cell.gaps.tolist())
                 print(
                     f"simulate k={k} n={n} eta={eta:g}: "
-                    f"mean {cell['mean']:.5g} +- {cell['ci']:.3g}"
+                    f"mean {cell.mean:.5g} +- {cell.ci_halfwidth:.3g}"
                 )
     out = spec.output_dir
     write_csv(
@@ -336,10 +326,7 @@ def cmd_analytic(spec: ExperimentSpec) -> int:
                 tmax = m1 + 6.0 * math.sqrt(max(m2 - m1 * m1, 1e-30))
                 for t in np.linspace(0.0, tmax, spec.histogram_bins + 1):
                     t = float(t)
-                    rows.append(
-                        (k, n, eta, t, _analytic_pdf(p, t),
-                         an.cdf_T1(t, p) if k == 1 else an.cdf_T(t, p)) + summary
-                    )
+                    rows.append((k, n, eta, t, an.pdf_T(t, p), an.cdf_T(t, p)) + summary)
                 print(f"analytic k={k} n={n} eta={eta:g}: mean_N {an.mean_N(p):.6g}")
     write_csv(spec.output_dir / f"{spec.name}_analytic.csv", header, rows, spec.comment())
     return 0
@@ -351,8 +338,7 @@ def cmd_compare(spec: ExperimentSpec) -> int:
     for k in spec.k:
         for n in spec.n:
             for eta in spec.eta:
-                cell = _pooled_cell(spec, k, n, eta)
-                gaps = cell["gaps"]
+                gaps = replicate(_cell_config(spec, k, n, eta), spec.replications).gaps
                 p = an.AnalyticParams(k=k, n=n, eta=eta)
                 if gaps.size == 0:
                     raise SpecError(
@@ -364,7 +350,7 @@ def cmd_compare(spec: ExperimentSpec) -> int:
                 edges = np.linspace(0.0, tmax, spec.histogram_bins + 1)
                 emp, _ = np.histogram(gaps, bins=edges, density=True)
                 centers = 0.5 * (edges[:-1] + edges[1:])
-                ana = [_analytic_pdf(p, float(t)) for t in centers]
+                ana = [an.pdf_T(float(t), p) for t in centers]
                 hist_rows = zip(edges[:-1].tolist(), edges[1:].tolist(), emp.tolist(), ana)
                 tag = f"k{k}_n{n}_eta{eta:g}"
                 write_csv(
@@ -405,16 +391,12 @@ def cmd_multicell(spec: ExperimentSpec) -> int:
                     warmup=spec.warmup,
                     seed=spec.seed,
                 )
-                counts = []
-                for s in replication_seeds(cfg.seed, spec.replications):
-                    st = run(
-                        SimRunConfig(
-                            trickle=cfg.trickle, topology=grid, duration=cfg.duration,
-                            warmup=cfg.warmup, seed=s,
-                        )
+                mean_sim = replicate(cfg, spec.replications).mean
+                if mean_sim == 0:
+                    raise SpecError(
+                        f"no transmissions measured for k={k} R={r:g} eta={eta:g}; "
+                        "increase duration or replications"
                     )
-                    counts.append(st.per_interval_counts)
-                mean_sim = float(np.concatenate(counts).mean())
                 g = an.GridParams(side=spec.side, radio_range=r, eta=eta, k=k)
                 estimate = an.multicell_estimate(g, s_cell)
                 theta = an.multicell_ratio(mean_sim, g, s_cell)
@@ -532,12 +514,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         spec = build_spec(args.mode, args)
-    except SpecError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return _COMMANDS[spec.mode](spec)
-    except (SpecError, ValueError) as exc:
+    except SpecError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (QuadratureError, ArithmeticError) as exc:

@@ -5,7 +5,8 @@ stays silent for the first ``eta`` fraction of it, picks a broadcast time
 ``theta`` uniformly in the remainder, counts consistent messages it hears,
 and broadcasts at ``theta`` only if fewer than ``k`` messages arrived so
 far this interval.  When the interval ends the length doubles (capped at
-``tau_h``); hearing an inconsistent message shrinks it back to ``tau_l``.
+``tau_h``).  Only consistent traffic is modelled: the inconsistency reset
+of the interval back to ``tau_l`` is not.
 
 All operations are pure: they take a state value plus inputs and return a
 new state value, so the same draw sequence always reproduces the same
@@ -15,20 +16,15 @@ trajectory.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 
 __all__ = [
     "TrickleConfig",
     "NodeState",
-    "EventKind",
-    "NodeEvent",
     "start_interval",
     "initial_state",
     "hear_consistent",
     "timer_fire",
     "interval_end",
-    "hear_inconsistent",
-    "pending_events",
 ]
 
 
@@ -109,19 +105,6 @@ class NodeState:
     has_fired: bool = False
 
 
-class EventKind(Enum):
-    TIMER_FIRE = "timer_fire"
-    INTERVAL_END = "interval_end"
-
-
-@dataclass(frozen=True)
-class NodeEvent:
-    """A node's next scheduled action: fire at ``theta`` or roll the interval."""
-
-    kind: EventKind
-    time: float
-
-
 def start_interval(state: NodeState, config: TrickleConfig, now: float, rand) -> NodeState:
     """Begin a new interval of length ``state.tau`` at time `now`.
 
@@ -176,30 +159,3 @@ def interval_end(state: NodeState, config: TrickleConfig, now: float, rand) -> N
     ``tau_h``) and start the next interval at `now`."""
     longer = replace(state, tau=min(2.0 * state.tau, config.tau_h))
     return start_interval(longer, config, now, rand)
-
-
-def hear_inconsistent(state: NodeState, config: TrickleConfig, now: float, rand) -> NodeState:
-    """React to an inconsistent message.
-
-    If the interval length exceeds ``tau_l``, reset it to ``tau_l`` and
-    start a fresh interval immediately at `now`.  Otherwise the state is
-    returned unchanged (in particular ``c`` keeps its value and no draw is
-    consumed).
-    """
-    if state.tau > config.tau_l:
-        return start_interval(replace(state, tau=config.tau_l), config, now, rand)
-    return state
-
-
-def pending_events(state: NodeState) -> tuple[NodeEvent, ...]:
-    """The node's upcoming events, soonest first.
-
-    The interval-end event is always pending; the timer-fire event only
-    until it has happened.  The fire time never exceeds the end time
-    because theta <= tau.
-    """
-    end = NodeEvent(EventKind.INTERVAL_END, state.interval_start + state.tau)
-    if state.has_fired:
-        return (end,)
-    fire = NodeEvent(EventKind.TIMER_FIRE, state.interval_start + state.theta)
-    return (fire, end)

@@ -29,11 +29,13 @@ def fmt_value(x) -> str:
 
 @lru_cache(maxsize=1)
 def version_string() -> str:
-    """Package version, extended git-describe style when run from a checkout."""
+    """Package version, extended git-describe style when run from a checkout
+    (with a ``-dirty`` suffix when the checkout has uncommitted changes)."""
     base = f"tricklesim-{__version__}"
     try:
         out = subprocess.run(
-            ["git", "-C", str(Path(__file__).resolve().parent), "describe", "--always", "--tags"],
+            ["git", "-C", str(Path(__file__).resolve().parent),
+             "describe", "--always", "--tags", "--dirty"],
             capture_output=True,
             text=True,
             timeout=5,

@@ -27,25 +27,19 @@ from enum import Enum
 from math import ceil, floor, sqrt
 
 import numpy as np
-from scipy import stats as _stats
 
 from .core import TrickleConfig
-from .csvio import write_csv
 from .topology import SingleCell, Topology, neighbor_table, num_nodes
 
 __all__ = [
     "Skew",
     "SimRunConfig",
     "SimStats",
-    "SweepResult",
+    "Pooled",
     "run",
-    "sweep",
-    "attempt_process_test",
+    "replicate",
     "node_schedule",
     "replication_seeds",
-    "export_transmissions",
-    "export_interval_counts",
-    "export_gaps",
 ]
 
 
@@ -264,6 +258,14 @@ def _sweep_grid(times, nodes, is_fire, neighbors, k: int):
     return np.asarray(tx_t, dtype=np.float64), np.asarray(tx_i, dtype=np.intp)
 
 
+def _windows(config: SimRunConfig) -> tuple[int, int]:
+    """(absolute index of the first whole window, number of whole windows)
+    inside the measured span."""
+    tau = config.trickle.tau_h
+    w0 = int(ceil(config.warmup / tau))
+    return w0, max(0, int(floor(config.duration / tau)) - w0)
+
+
 def run(config: SimRunConfig) -> SimStats:
     """Execute one seeded run and collect statistics.
 
@@ -291,8 +293,7 @@ def run(config: SimRunConfig) -> SimStats:
     tx_times = tx_times[m]
     tx_nodes = tx_nodes[m]
 
-    w0 = int(ceil(warm / tau))
-    n_windows = max(0, int(floor(dur / tau)) - w0)
+    w0, n_windows = _windows(config)
     if n_windows > 0:
         in_win = (tx_times >= w0 * tau) & (tx_times < (w0 + n_windows) * tau)
         idx = np.floor(tx_times[in_win] / tau).astype(np.int64) - w0
@@ -328,92 +329,46 @@ def replication_seeds(seed: int, replications: int) -> list[int]:
     return [int(s) for s in ss.generate_state(replications, dtype=np.uint64)]
 
 
-@dataclass
-class SweepResult:
-    """Pooled per-interval transmission counts for one config."""
+@dataclass(frozen=True)
+class Pooled:
+    """Per-window counts and gaps of one config, pooled over replications.
+
+    ``mean``, ``std`` and ``ci_halfwidth`` treat every pooled window as one
+    sample: the half-width is ``1.96 * std / sqrt(pooled window count)``.
+    """
 
     config: SimRunConfig
     replications: int
-    pooled_windows: int
-    mean_per_interval: float
-    std: float
-    ci_halfwidth: float
+    counts: np.ndarray
+    gaps: np.ndarray
+
+    @property
+    def mean(self) -> float:
+        return float(self.counts.mean())
+
+    @property
+    def std(self) -> float:
+        return float(self.counts.std(ddof=1)) if self.counts.size > 1 else 0.0
+
+    @property
+    def ci_halfwidth(self) -> float:
+        return 1.96 * self.std / sqrt(self.counts.size)
 
 
-def sweep(configs: list[SimRunConfig], replications: int) -> list[SweepResult]:
-    """Run each config `replications` times and pool per-interval counts.
-
-    The confidence half-width is ``1.96 * std / sqrt(pooled window count)``.
-    """
+def replicate(config: SimRunConfig, replications: int) -> Pooled:
+    """Run `config` once per seed of ``replication_seeds(config.seed,
+    replications)`` and pool the per-window counts and the gaps in seed
+    order."""
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
-    out = []
-    for cfg in configs:
-        seeds = replication_seeds(cfg.seed, replications)
-        pools = []
-        for s in seeds:
-            st = run(replace(cfg, seed=s))
-            if st.per_interval_counts.size == 0:
-                raise ValueError(
-                    "no whole measurement window between warmup and duration; "
-                    f"got warmup={cfg.warmup}, duration={cfg.duration}"
-                )
-            pools.append(st.per_interval_counts)
-        pool = np.concatenate(pools)
-        std = float(pool.std(ddof=1)) if pool.size > 1 else 0.0
-        out.append(
-            SweepResult(
-                config=cfg,
-                replications=replications,
-                pooled_windows=int(pool.size),
-                mean_per_interval=float(pool.mean()),
-                std=std,
-                ci_halfwidth=1.96 * std / sqrt(pool.size),
-            )
+    if _windows(config)[1] == 0:
+        raise ValueError(
+            "no whole measurement window between warmup and duration; "
+            f"got warmup={config.warmup}, duration={config.duration}"
         )
-    return out
-
-
-def attempt_process_test(n: int, eta: float, duration: float, seed: int) -> float:
-    """KS distance between scaled inter-attempt gaps and the unit exponential.
-
-    Records every timer fire (suppressed or not) in a single cell of `n`
-    nodes, dilates time by the factor `n`, and compares the empirical gap
-    distribution against Exp(1).  In a large cell the pooled attempt
-    process is statistically indistinguishable from a unit-rate Poisson
-    process, so the statistic is small; for n = 1 the gaps are the spacings
-    of a single node's timer and the statistic is large.  The value is
-    returned without judgment.
-    """
-    cfg = SimRunConfig(
-        trickle=TrickleConfig(k=1, tau_l=1.0, tau_h=1.0, eta=eta),
-        topology=SingleCell(n),
-        duration=duration,
-        warmup=10.0,
-        seed=seed,
-        record_attempts=True,
-    )
-    st = run(cfg)
-    scaled = np.diff(st.attempt_times) * n
-    return float(_stats.kstest(scaled, "expon").statistic)
-
-
-def export_transmissions(stats: SimStats, path, comment: str | None = None) -> None:
-    """Write ``time,node_id`` rows for all measured transmissions."""
-    rows = zip(stats.transmission_times.tolist(), stats.transmission_nodes.tolist())
-    write_csv(path, ["time", "node_id"], rows, comment)
-
-
-def export_interval_counts(stats: SimStats, path, comment: str | None = None) -> None:
-    """Write ``interval_index,count`` rows (absolute window indices)."""
-    rows = (
-        (stats.first_window + i, int(c))
-        for i, c in enumerate(stats.per_interval_counts.tolist())
-    )
-    write_csv(path, ["interval_index", "count"], rows, comment)
-
-
-def export_gaps(stats: SimStats, path, comment: str | None = None) -> None:
-    """Write one ``gap`` row per inter-transmission time."""
-    rows = ((g,) for g in stats.inter_transmission_times.tolist())
-    write_csv(path, ["gap"], rows, comment)
+    counts, gaps = [], []
+    for s in replication_seeds(config.seed, replications):
+        st = run(replace(config, seed=s))
+        counts.append(st.per_interval_counts)
+        gaps.append(st.inter_transmission_times)
+    return Pooled(config, replications, np.concatenate(counts), np.concatenate(gaps))

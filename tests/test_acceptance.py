@@ -8,7 +8,6 @@ here are the reduced CI profile; the full-size runs use the CLI's
 """
 
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from tricklesim import analytics as an
 from tricklesim import residual as rm
 from tricklesim.cli import _analytic_cdf_callable, main as cli_main
 from tricklesim.core import TrickleConfig
-from tricklesim.engine import SimRunConfig, replication_seeds, run
+from tricklesim.engine import SimRunConfig, replicate, run
 from tricklesim.quadrature import quad
 from tricklesim.topology import Grid, SingleCell, cell_size
 
@@ -30,25 +29,14 @@ def report(cid, title, detail, ok):
     assert ok, f"{cid} {title}: {detail}"
 
 
-def pooled_stats(k, n, eta, replications, seed, duration=110.0, warmup=10.0):
-    """Replicated single-cell runs; pooled window counts and gaps."""
-    counts, gaps = [], []
-    for s in replication_seeds(seed, replications):
-        st = run(
-            SimRunConfig(
-                trickle=TrickleConfig(k=k, tau_l=1.0, tau_h=1.0, eta=eta),
-                topology=SingleCell(n),
-                duration=duration,
-                warmup=warmup,
-                seed=s,
-            )
-        )
-        counts.append(st.per_interval_counts)
-        gaps.append(st.inter_transmission_times)
-    pool = np.concatenate(counts)
-    mean = float(pool.mean())
-    ci = 1.96 * float(pool.std(ddof=1)) / math.sqrt(pool.size)
-    return mean, ci, np.concatenate(gaps)
+def cell(k, n, eta, seed, duration=110.0):
+    return SimRunConfig(
+        trickle=TrickleConfig(k=k, tau_l=1.0, tau_h=1.0, eta=eta),
+        topology=SingleCell(n),
+        duration=duration,
+        warmup=10.0,
+        seed=seed,
+    )
 
 
 def test_c01_scaling_law_eta0():
@@ -56,7 +44,8 @@ def test_c01_scaling_law_eta0():
     # within 10%, and the analytic value is conservative up to the 95% CI
     worst_rel, worst_gap = 0.0, -math.inf
     for k, n in SCALING_GRID:
-        mean, ci, _ = pooled_stats(k, n, 0.0, replications=200, seed=101)
+        pooled = replicate(cell(k, n, 0.0, seed=101), 200)
+        mean, ci = pooled.mean, pooled.ci_halfwidth
         analytic = an.mean_N_asymptotic(an.AnalyticParams(k=k, n=n, eta=0.0))
         worst_rel = max(worst_rel, abs(mean - analytic) / analytic)
         worst_gap = max(worst_gap, analytic - mean - ci)
@@ -75,7 +64,7 @@ def test_c02_bounded_count_eta_half():
     # exact normalization-constant ratio
     worst_rel, ceiling_ok = 0.0, True
     for k, n in SCALING_GRID:
-        mean, _, _ = pooled_stats(k, n, 0.5, replications=200, seed=102)
+        mean = replicate(cell(k, n, 0.5, seed=102), 200).mean
         ratio = an.mean_N(an.AnalyticParams(k=k, n=n, eta=0.5))
         worst_rel = max(worst_rel, abs(mean - ratio) / ratio)
         ceiling_ok = ceiling_ok and mean < 2 * k
@@ -92,7 +81,7 @@ def test_c03_gap_distribution_k1():
     details, ok = [], True
     for eta, reps in ((0.0, 25), (0.5, 70)):
         p = an.AnalyticParams(k=1, n=50, eta=eta)
-        _, _, gaps = pooled_stats(1, 50, eta, replications=reps, seed=103)
+        gaps = replicate(cell(1, 50, eta, seed=103), reps).gaps
         ks = stats.kstest(
             gaps, np.vectorize(lambda t: an.cdf_T1(float(t), p))
         ).statistic
@@ -105,7 +94,7 @@ def test_c04_gap_distribution_k3():
     details, ok = [], True
     for eta, reps in ((0.0, 10), (0.5, 24)):
         p = an.AnalyticParams(k=3, n=50, eta=eta)
-        _, _, gaps = pooled_stats(3, 50, eta, replications=reps, seed=104)
+        gaps = replicate(cell(3, 50, eta, seed=104), reps).gaps
         ks = stats.kstest(gaps, _analytic_cdf_callable(p, float(gaps.max()))).statistic
         details.append(f"eta={eta:g}: {gaps.size} gaps KS={ks:.4f}")
         ok = ok and gaps.size >= 10_000 and ks <= 0.05
@@ -224,32 +213,13 @@ def test_c09_limiting_distributions():
     # single frozen draw of 2000 phase offsets; at n=2000 the finite-size
     # law itself sits about 0.038 away from the uniform limit in sup norm,
     # so the pooled statistic concentrates just below the 0.05 budget.
-    gaps = np.concatenate(
-        [
-            run(
-                SimRunConfig(
-                    trickle=TrickleConfig(k=2, tau_l=1.0, tau_h=1.0, eta=0.5),
-                    topology=SingleCell(2000),
-                    duration=660.0,
-                    warmup=10.0,
-                    seed=s,
-                )
-            ).inter_transmission_times
-            for s in replication_seeds(109, 32)
-        ]
-    )
+    gaps = replicate(cell(2, 2000, 0.5, seed=109, duration=660.0), 32).gaps
     ks = stats.kstest(gaps / 0.5, "uniform").statistic
     ok_a = ks <= 0.05
 
     # (b) eta=0, k=16: moments of sqrt(nk) T approach j!
-    cfg = SimRunConfig(
-        trickle=TrickleConfig(k=16, tau_l=1.0, tau_h=1.0, eta=0.0),
-        topology=SingleCell(2000),
-        duration=610.0,
-        warmup=10.0,
-        seed=110,
-    )
-    scaled = run(cfg).inter_transmission_times * math.sqrt(2000 * 16)
+    scaled = run(cell(16, 2000, 0.0, seed=110, duration=610.0)).inter_transmission_times
+    scaled = scaled * math.sqrt(2000 * 16)
     rels = [
         abs(float(np.mean(scaled**j)) - target) / target
         for j, target in ((1, 1.0), (2, 2.0), (3, 6.0))

@@ -1,8 +1,10 @@
 import csv
+import subprocess
 from pathlib import Path
 
 import pytest
 
+from tricklesim import cli, csvio
 from tricklesim.cli import (
     ExperimentSpec,
     SpecError,
@@ -245,6 +247,49 @@ def test_exit_code_2_on_config_error(tmp_path):
                    "--warmup", "5", "--out", str(tmp_path)) == 2
     assert run_cli("simulate", "--k", "1", "--n", "10", "--spec",
                    str(tmp_path / "missing.spec")) == 2
+    assert run_cli("simulate", "--k", "1", "--n", "10", "--seed", "-1",
+                   "--out", str(tmp_path)) == 2
+    assert run_cli("simulate", "--k", "1", "--n", "10", "--duration", "inf",
+                   "--out", str(tmp_path)) == 2
+    assert run_cli("simulate", "--k", "1e400", "--n", "10", "--out", str(tmp_path)) == 2
+    bad = tmp_path / "bad.spec"
+    bad.write_text("duration = soon\n")
+    assert run_cli("simulate", "--k", "1", "--n", "10", "--spec", str(bad)) == 2
+    assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("mode", ["simulate", "compare", "multicell"])
+def test_span_without_whole_window_exits_2_without_output(tmp_path, mode):
+    out = tmp_path / "out"
+    assert run_cli(mode, "--k", "1", "--n", "10", "--range", "1", "--side", "4",
+                   "--replications", "2", "--duration", "10.5", "--warmup", "10",
+                   "--out", str(out)) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("mode,k", [("analytic", 151), ("analytic", 148), ("compare", 151),
+                                    ("multicell", 150)])
+def test_k_beyond_norm_const_limit_exits_2_without_output(tmp_path, mode, k):
+    out = tmp_path / "out"
+    assert run_cli(mode, "--k", str(k), "--n", "20", "--range", "1", "--side", "4",
+                   "--out", str(out)) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_multicell_without_transmissions_exits_2(tmp_path):
+    # a lone node can skip a whole window: no fire in [10, 11) for seed 12
+    assert run_cli("multicell", "--k", "1", "--side", "1", "--range", "1",
+                   "--replications", "1", "--duration", "11", "--warmup", "10",
+                   "--seed", "12", "--out", str(tmp_path)) == 2
+
+
+def test_internal_value_error_propagates(tmp_path, monkeypatch):
+    def broken(spec):
+        raise ValueError("internal bug")
+
+    monkeypatch.setitem(cli._COMMANDS, "simulate", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        run_cli("simulate", "--k", "1", "--n", "10", "--out", str(tmp_path))
 
 
 def test_compare_eta_one_exits_2_without_output(tmp_path):
@@ -277,3 +322,22 @@ def test_spec_file_end_to_end(tmp_path):
     assert (tmp_path / "o" / "filed_counts.csv").exists()
     _, _, rows = read_csv(tmp_path / "o" / "filed_counts.csv")
     assert rows[0][0] == "2" and rows[0][1] == "8"
+
+
+# --------------------------------------------------------------------------
+# provenance
+
+def test_version_string_marks_modified_checkouts(monkeypatch):
+    calls = []
+
+    def fake_run(cmd, **kw):
+        calls.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout="bdd4d29-dirty\n", stderr="")
+
+    monkeypatch.setattr(csvio.subprocess, "run", fake_run)
+    csvio.version_string.cache_clear()
+    try:
+        assert csvio.version_string() == f"tricklesim-{csvio.__version__}+gbdd4d29-dirty"
+    finally:
+        csvio.version_string.cache_clear()
+    assert "--dirty" in calls[0]

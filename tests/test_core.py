@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from tricklesim.core import (
-    EventKind,
     NodeState,
     TrickleConfig,
     hear_consistent,
-    hear_inconsistent,
     initial_state,
     interval_end,
-    pending_events,
     start_interval,
     timer_fire,
 )
@@ -107,40 +104,6 @@ def test_interval_doubling_ladder():
         assert st.c == 0 and not st.has_fired
 
 
-def test_hear_inconsistent_resets_long_interval():
-    cfg = TrickleConfig(k=2, tau_l=1.0, tau_h=8.0)
-    st = initial_state(cfg, 0.0, 0.5)  # tau = 8
-    st = hear_consistent(hear_consistent(st))
-    out = hear_inconsistent(st, cfg, 3.25, 0.75)
-    assert out.tau == 1.0
-    assert out.interval_start == 3.25
-    assert out.c == 0 and not out.has_fired
-
-
-def test_hear_inconsistent_noop_at_floor():
-    class Boom:
-        def random(self):
-            raise AssertionError("no draw may be consumed at tau_l")
-
-    cfg = TrickleConfig(k=2, tau_l=1.0, tau_h=8.0)
-    st = initial_state(cfg, 0.0, 0.5, tau=1.0)
-    st = hear_consistent(st)
-    out = hear_inconsistent(st, cfg, 5.0, Boom())
-    assert out is st  # untouched, counter preserved
-
-
-def test_pending_events_order_and_kinds():
-    cfg = TrickleConfig(k=1, tau_l=2.0, tau_h=2.0, eta=0.5)
-    st = initial_state(cfg, 10.0, 0.25)  # theta = 1.25
-    fire, end = pending_events(st)
-    assert fire.kind is EventKind.TIMER_FIRE and fire.time == pytest.approx(11.25)
-    assert end.kind is EventKind.INTERVAL_END and end.time == pytest.approx(12.0)
-    assert fire.time <= end.time
-    fired, _ = timer_fire(st, cfg)
-    (only,) = pending_events(fired)
-    assert only.kind is EventKind.INTERVAL_END
-
-
 @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])
 def test_theta_bounds_fuzz(eta):
     rng = np.random.default_rng(42)
@@ -190,5 +153,4 @@ def test_same_draws_same_trajectory():
 def test_eta_one_fire_at_interval_end():
     cfg = TrickleConfig(k=1, tau_l=3.0, tau_h=3.0, eta=1.0)
     st = initial_state(cfg, 1.0, 0.123)
-    fire, end = pending_events(st)
-    assert fire.time == end.time == 4.0
+    assert st.theta == st.tau == 3.0

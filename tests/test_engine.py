@@ -2,20 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from _reference import reference_run
 from tricklesim.core import TrickleConfig
 from tricklesim.engine import (
     SimRunConfig,
     Skew,
-    attempt_process_test,
-    export_gaps,
-    export_interval_counts,
-    export_transmissions,
     node_schedule,
+    replicate,
     replication_seeds,
     run,
-    sweep,
 )
 from tricklesim.topology import Grid, SingleCell, cell_size, neighbor_table, num_nodes
 
@@ -305,59 +302,66 @@ def test_reference_fuzz_many_seeds():
 
 
 # --------------------------------------------------------------------------
-# sweeps and the attempt process
+# replication and the attempt process
 
 def test_sweep_pools_windows():
-    cfgs = [cell_cfg(1, 10, 0.0, duration=30.0, seed=5)]
-    (res,) = sweep(cfgs, replications=4)
+    cfg = cell_cfg(1, 10, 0.0, duration=30.0, seed=5)
+    res = replicate(cfg, replications=4)
+    assert res.config == cfg
     assert res.replications == 4
-    assert res.pooled_windows == 4 * 20
+    assert res.counts.size == 4 * 20
     assert res.ci_halfwidth > 0
-    assert 1.0 < res.mean_per_interval < 10.0
-    (again,) = sweep(cfgs, replications=4)
-    assert again.mean_per_interval == res.mean_per_interval
+    assert 1.0 < res.mean < 10.0
+    again = replicate(cfg, replications=4)
+    assert np.array_equal(again.counts, res.counts)
+    assert np.array_equal(again.gaps, res.gaps)
 
 
 def test_sweep_validation():
     with pytest.raises(ValueError):
-        sweep([cell_cfg(1, 5, 0.0)], replications=0)
+        replicate(cell_cfg(1, 5, 0.0), replications=0)
     with pytest.raises(ValueError):
-        sweep([cell_cfg(1, 5, 0.0, duration=10.4, warmup=9.7)], replications=1)
+        replicate(cell_cfg(1, 5, 0.0, duration=10.4, warmup=9.7), replications=1)
+
+
+@pytest.mark.parametrize(
+    "topology", [SingleCell(30), Grid(side=5, radio_range=1.5)], ids=["cell", "grid"]
+)
+def test_replicate_matches_hand_loop(topology):
+    cfg = SimRunConfig(
+        trickle=TrickleConfig(k=2, tau_l=1.0, tau_h=1.0, eta=0.3),
+        topology=topology,
+        duration=25.0,
+        warmup=3.5,
+        seed=17,
+    )
+    counts, gaps = [], []
+    for s in replication_seeds(cfg.seed, 3):
+        st = run(SimRunConfig(trickle=cfg.trickle, topology=topology, duration=25.0,
+                              warmup=3.5, seed=s))
+        counts.append(st.per_interval_counts)
+        gaps.append(st.inter_transmission_times)
+    pool = np.concatenate(counts)
+    std = float(pool.std(ddof=1))
+
+    res = replicate(cfg, 3)
+    assert np.array_equal(res.counts, pool)
+    assert np.array_equal(res.gaps, np.concatenate(gaps))
+    assert res.mean == float(pool.mean())
+    assert res.std == std
+    assert res.ci_halfwidth == 1.96 * std / math.sqrt(pool.size)
+
+
+def attempt_ks(n, eta, duration, seed):
+    """KS distance of the n-scaled inter-attempt gaps of a k=1 cell from Exp(1)."""
+    st = run(cell_cfg(1, n, eta, duration=duration, seed=seed, record_attempts=True))
+    return stats.kstest(np.diff(st.attempt_times) * n, "expon").statistic
 
 
 def test_attempt_process_poisson_in_large_cell():
-    assert attempt_process_test(200, 0.0, 110.0, seed=1) < 0.02
-    assert attempt_process_test(200, 0.5, 110.0, seed=1) < 0.02
+    assert attempt_ks(200, 0.0, 110.0, seed=1) < 0.02
+    assert attempt_ks(200, 0.5, 110.0, seed=1) < 0.02
 
 
 def test_attempt_process_far_from_poisson_single_node():
-    assert attempt_process_test(1, 0.0, 510.0, seed=1) > 0.1
-
-
-# --------------------------------------------------------------------------
-# exports
-
-def test_exports_roundtrip(tmp_path):
-    st = run(cell_cfg(1, 8, 0.0, seed=44))
-    p1 = tmp_path / "tx.csv"
-    p2 = tmp_path / "counts.csv"
-    p3 = tmp_path / "gaps.csv"
-    export_transmissions(st, p1, comment="demo")
-    export_interval_counts(st, p2)
-    export_gaps(st, p3)
-
-    lines = p1.read_text().splitlines()
-    assert lines[0] == "# demo"
-    assert lines[1] == "time,node_id"
-    assert len(lines) == 2 + st.total_transmissions
-    t0, n0 = lines[2].split(",")
-    assert float(t0) == st.transmission_times[0]
-    assert int(n0) == st.transmission_nodes[0]
-
-    lines = p2.read_text().splitlines()
-    assert lines[0] == "interval_index,count"
-    assert int(lines[1].split(",")[0]) == st.first_window
-
-    lines = p3.read_text().splitlines()
-    assert lines[0] == "gap"
-    assert len(lines) == 1 + st.inter_transmission_times.size
+    assert attempt_ks(1, 0.0, 510.0, seed=1) > 0.1
