@@ -333,6 +333,9 @@ def cmd_analytic(spec: ExperimentSpec) -> int:
 
 
 def cmd_compare(spec: ExperimentSpec) -> int:
+    # Every combination is computed before any file is written, so a
+    # combination that fails leaves no partial output behind.
+    hists = []
     summary_rows = []
     failures = 0
     for k in spec.k:
@@ -352,13 +355,7 @@ def cmd_compare(spec: ExperimentSpec) -> int:
                 centers = 0.5 * (edges[:-1] + edges[1:])
                 ana = [an.pdf_T(float(t), p) for t in centers]
                 hist_rows = zip(edges[:-1].tolist(), edges[1:].tolist(), emp.tolist(), ana)
-                tag = f"k{k}_n{n}_eta{eta:g}"
-                write_csv(
-                    spec.output_dir / f"{spec.name}_hist_{tag}.csv",
-                    ["t_bin_lo", "t_bin_hi", "empirical_density", "analytic_density"],
-                    hist_rows,
-                    spec.comment(),
-                )
+                hists.append((f"k{k}_n{n}_eta{eta:g}", hist_rows))
                 if n == 1:
                     status = "out-of-model"
                 elif ks <= spec.ks_threshold:
@@ -368,6 +365,13 @@ def cmd_compare(spec: ExperimentSpec) -> int:
                     failures += 1
                 summary_rows.append((k, n, eta, int(gaps.size), ks, spec.ks_threshold, status))
                 print(f"compare k={k} n={n} eta={eta:g}: KS {ks:.4f} [{status}]")
+    for tag, hist_rows in hists:
+        write_csv(
+            spec.output_dir / f"{spec.name}_hist_{tag}.csv",
+            ["t_bin_lo", "t_bin_hi", "empirical_density", "analytic_density"],
+            hist_rows,
+            spec.comment(),
+        )
     write_csv(
         spec.output_dir / f"{spec.name}_compare.csv",
         ["k", "n", "eta", "num_gaps", "ks_stat", "ks_threshold", "status"],

@@ -2,22 +2,39 @@
 
 Every node runs the suppression timer with a fixed interval length
 ``tau_h`` (the steady-state regime: all messages consistent, intervals
-never shrink or grow).  Each node's interval starts and timer fires are
-pre-generated from its own seeded stream; simultaneous events are ordered
-by (time, node id, per-node sequence).  Each topology has its own kernel:
+never shrink or grow).  Each node's interval starts and timer fires come
+from its own seeded stream; simultaneous events are ordered by (time, node
+id, per-node sequence).
+
+The schedule is built in time chunks.  A window of interval indices
+``[j0, j0 + W)`` draws ``W`` offsets from every node's stream and emits the
+events before ``B = (j0 + W)*tau_h``; every event of a later interval is
+at or after ``B``, so the few events at or past it carry over to the next
+window.  A chunk is laid out in (node, sequence) order, carried events
+first, and sorted stably on time, so chunks split no tie and their
+concatenation is the whole schedule in (time, node, sequence) order.
+``W = max(2, _SCHEDULE_FIRES // n)``: a chunk holds about 2**17 fires of
+the n nodes, so a run's memory is O(n + chunk) whatever its duration.  Runs
+of up to 2**17 fires (small cells over the usual horizons) are one chunk.
+The constant is fixed, not a setting: results do not depend on it, and it
+trades per-chunk work for memory.
+
+Each topology has its own kernel over the chunks:
 
 * single cell -- every node hears every transmission, so a fire transmits
   iff the k-th most recent transmission came before the firing node's
   interval start.  Only the fires are sorted, each tagged with the number
-  of fires ahead of its interval start, and a chunked vectorized scan
-  steps through the candidate transmitters alone;
+  of fires ahead of its interval start, and a vectorized scan steps
+  through the candidate transmitters alone, carrying the last k
+  transmissions from chunk to chunk;
 * grid -- interval starts and fires are merged into one schedule and swept
   event by event with per-node counters, bumped for all lattice neighbors
-  in range of each sender.
+  in range of each sender; the counters carry from chunk to chunk.
 
 Determinism: node ``i``'s draws come from a stream derived from
-``(seed, i)``, so runs are bit-reproducible and changing the node count
-does not perturb the other nodes' draws.
+``(seed, i)``, so runs are bit-reproducible, changing the node count does
+not perturb the other nodes' draws, and drawing a stream in pieces yields
+the same values as drawing it at once (`node_schedule`).
 """
 
 from __future__ import annotations
@@ -118,6 +135,20 @@ class SimStats:
         return float(self.per_interval_counts.mean())
 
 
+def _stream(config: SimRunConfig, node_id: int):
+    """Node ``node_id``'s generator and interval skew (its first draw in
+    uniform-random mode; zero, with no draw, when synchronized)."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(node_id,)))
+    if config.skew is Skew.UNIFORM_RANDOM:
+        return rng, rng.random() * config.trickle.tau_h
+    return rng, 0.0
+
+
+def _thetas(trickle: TrickleConfig, u):
+    """Broadcast offsets in ``[eta*tau_h, tau_h)`` from uniform draws."""
+    return trickle.tau_h * (trickle.eta + u * (1.0 - trickle.eta))
+
+
 def node_schedule(config: SimRunConfig, node_id: int) -> tuple[float, np.ndarray]:
     """Deterministic schedule for one node: (first interval start, theta draws).
 
@@ -125,126 +156,195 @@ def node_schedule(config: SimRunConfig, node_id: int) -> tuple[float, np.ndarray
     only), then one broadcast offset per interval.  Interval ``j`` runs
     over ``[s + j*tau_h, s + (j+1)*tau_h)`` and its broadcast time is
     ``s + j*tau_h + theta_j`` with ``theta_j`` in ``[eta*tau_h, tau_h)``.
-    Exposed so tests can audit a run event-by-event.
+    Exposed so tests can audit a run event-by-event; `run` draws the same
+    values in pieces.
+    """
+    rng, s = _stream(config, node_id)
+    n_intervals = int(floor((config.duration - s) / config.trickle.tau_h)) + 1
+    return s, _thetas(config.trickle, rng.random(n_intervals))
+
+
+# Fires per schedule chunk: each chunk covers max(2, _SCHEDULE_FIRES // n)
+# interval indices of every node.  2**17 keeps a chunk's arrays to a few MB;
+# at 2**16 the per-window stream draws start to cost time at n = 2000.
+_SCHEDULE_FIRES = 1 << 17
+
+
+def _interval_chunks(config: SimRunConfig, rngs, s: np.ndarray):
+    """Every node's intervals, in windows of consecutive interval indices.
+
+    Yields (bound, j, starts, fires) per window: ``j`` holds the window's
+    interval indices, ``starts`` and ``fires`` are (node, index) arrays, +inf
+    where a node has no interval ``j``.  Every event of a later window is at
+    or after ``bound`` (+inf for the last window).  Each node's offsets are
+    drawn window by window from its stream, so they equal `node_schedule`'s.
     """
     tau = config.trickle.tau_h
-    eta = config.trickle.eta
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(node_id,)))
-    if config.skew is Skew.UNIFORM_RANDOM:
-        s = rng.random() * tau
-    else:
-        s = 0.0
-    n_intervals = int(floor((config.duration - s) / tau)) + 1
-    u = rng.random(n_intervals)
-    thetas = tau * (eta + u * (1.0 - eta))
-    return s, thetas
+    n = s.size
+    m = np.floor((config.duration - s) / tau).astype(np.intp) + 1
+    end = int(m.max())
+    width = max(2, _SCHEDULE_FIRES // n)
+    for j0 in range(0, end, width):
+        j = np.arange(j0, min(j0 + width, end))
+        u = np.zeros((n, j.size))
+        drawn = np.maximum(np.minimum(m - j0, j.size), 0)
+        for rng, row, d in zip(rngs, u, drawn.tolist()):
+            rng.random(out=row[:d])
+        starts = s[:, None] + tau * j
+        # Cap each fire at the next interval start as computed here, so a
+        # fire at offset tau (eta = 1, or rounding on the last ulp) compares
+        # equal to the rollover time and the tie-break keeps it inside its
+        # own interval.
+        fires = np.minimum(starts + _thetas(config.trickle, u), s[:, None] + tau * (j + 1))
+        if drawn.min() < j.size:
+            gone = j >= m[:, None]
+            starts[gone] = np.inf
+            fires[gone] = np.inf
+        bound = tau * (j0 + j.size) if j0 + j.size < end else np.inf
+        yield bound, j, starts, fires
 
 
-def _intervals(config: SimRunConfig, n: int):
-    """Every node's intervals, node-major: (node, start, fire) per interval."""
-    tau = config.trickle.tau_h
-    skews, thetas = zip(*(node_schedule(config, i) for i in range(n)))
-    counts = np.array([th.size for th in thetas], dtype=np.intp)
-    node = np.repeat(np.arange(n), counts)
-    s = np.repeat(np.asarray(skews, dtype=np.float64), counts)
-    j = np.arange(node.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    starts = s + tau * j
-    # Cap each fire at the next interval start as computed here, so a fire
-    # at offset tau (eta = 1, or rounding on the last ulp) compares equal to
-    # the rollover time and the tie-break keeps it inside its own interval.
-    fires = np.minimum(starts + np.concatenate(thetas), s + tau * (j + 1))
-    return node, starts, fires
+def _chunk_order(t: np.ndarray, carry_t, carry_node, bound: float, duration: float):
+    """Lay out and order one chunk: a window's events plus those carried in.
 
-
-def _event_schedule(config: SimRunConfig, n: int):
-    """Merged, time-ordered event arrays for all nodes of a grid.
-
-    Returns (times, nodes, is_fire) with simultaneous events ordered by
-    (time, node id, per-node sequence).  The per-node sequence interleaves
-    interval starts and fires (start_j < fire_j < start_{j+1}), which keeps
-    the two degenerate corners right: a fire at offset zero lands after its
-    own interval start, and a fire at offset tau (eta = 1) lands before the
-    next interval start.  The arrays are built in (node, sequence) order, so
-    one stable sort on time yields the full three-key order.
+    ``t`` holds the window's event times as a (node, per-node sequence)
+    array; carried event ``r`` (in (node, sequence) order) is source index
+    ``t.size + r`` and goes to the head of its node's row, so the layout
+    stays in (node, sequence) order and one stable sort on time yields the
+    (time, node, sequence) order.  Returns (src_t, src_node, now, later):
+    the source times and nodes, the sorted source indices of the events
+    before ``bound``, and those of the events in ``[bound, duration]``,
+    which carry on, in layout order.
     """
-    node, starts, fires = _intervals(config, n)
-    t = np.empty(2 * starts.size)
-    t[0::2] = starts
-    t[1::2] = fires
-    keep = t <= config.duration
-    t = t[keep]
-    order = np.argsort(t, kind="stable")
-    nodes = np.repeat(node, 2)[keep]
-    is_fire = np.tile([False, True], starts.size)[keep]
-    return t[order], nodes[order], is_fire[order]
+    n, width = t.shape
+    src_t = np.concatenate([t.ravel(), carry_t])
+    src_node = np.concatenate([np.repeat(np.arange(n), width), carry_node])
+    ix = np.arange(t.size)
+    if carry_t.size:
+        ix = np.insert(ix, carry_node * width, np.arange(t.size, src_t.size))
+    tl = src_t[ix]
+    live = tl <= duration
+    now = ix[live & (tl < bound)]
+    return src_t, src_node, now[np.argsort(src_t[now], kind="stable")], ix[live & (tl >= bound)]
 
 
-def _cell_fires(config: SimRunConfig, n: int):
-    """Every fire of a single cell, in (time, node) order.
+def _fires_before(t, node, start, start_node, n: int) -> np.ndarray:
+    """For each interval start, the number of fires of sorted ``t`` that
+    precede it in the (time, node, sequence) order.
 
-    Returns (times, nodes, lo) where ``lo[p]`` is the number of fires that
-    precede fire ``p``'s own interval start in the (time, node, sequence)
-    order.  A fire at exactly a start time precedes that start iff its node
-    id is no larger; that tie-break keeps eta = 1 and synchronized skew
-    exact.  (A node's own fire at offset zero also counts under it, giving
-    ``lo[p] = p + 1``, which the sweep treats the same as ``p``.)
+    A fire at exactly a start time precedes that start iff its node id is
+    no larger; that tie-break keeps eta = 1 and synchronized skew exact.
+    (A node's own fire at offset zero also counts, giving ``lo[p] = p + 1``
+    for that fire ``p``, which the sweep treats the same as ``p``.)
     """
-    node, start, t = _intervals(config, n)
-    keep = t <= config.duration
-    t = t[keep]
-    order = np.argsort(t, kind="stable")
-    t = t[order]
-    node = node[keep][order]
-    start = start[keep][order]
     lo = np.searchsorted(t, start)
-    tie = np.flatnonzero(t[np.minimum(lo, t.size - 1)] == start)
-    if tie.size:
-        # Rank fires by (first position of their time, node); a tied start
-        # then sits after every fire of its time with node id <= its own.
-        new_time = np.ones(t.size, dtype=bool)
-        new_time[1:] = t[1:] != t[:-1]
-        first = np.maximum.accumulate(np.where(new_time, np.arange(t.size), 0))
-        lo[tie] = np.searchsorted(first * n + node, lo[tie] * n + node[tie], side="right")
-    return t, node, lo
+    if t.size:
+        tie = np.flatnonzero(t[np.minimum(lo, t.size - 1)] == start)
+        if tie.size:
+            # Rank fires by (first position of their time, node); a tied
+            # start then sits after every fire of its time with node id <=
+            # its own.
+            new_time = np.ones(t.size, dtype=bool)
+            new_time[1:] = t[1:] != t[:-1]
+            first = np.maximum.accumulate(np.where(new_time, np.arange(t.size), 0))
+            lo[tie] = np.searchsorted(
+                first * n + node, lo[tie] * n + start_node[tie], side="right"
+            )
+    return lo
+
+
+def _run_cell(config: SimRunConfig, n: int):
+    """Transmission times and nodes, and attempt times, of a single cell.
+
+    Each chunk's fires are tagged with ``lo``, the number of fires of the
+    whole run ahead of their interval start, computed in the window of
+    that start: a start before the window's bound has every fire up to its
+    time in this chunk or an earlier one.  A carried fire keeps its ``lo``
+    unless its start is itself at or past the bound, which only rounding
+    on the last ulp can bring about.
+    """
+    tau = config.trickle.tau_h
+    rngs, s = zip(*(_stream(config, i) for i in range(n)))
+    s = np.asarray(s)
+    # Starts listed by (interval index, skew rank) come out in time order,
+    # up to rounding, which keeps the search for them cache-friendly.
+    rank = np.argsort(s, kind="stable")
+    s_ranked = s[rank]
+    carry_t = carry_start = np.empty(0)
+    carry_node = carry_lo = np.empty(0, dtype=np.intp)
+    recent: list[int] = []
+    done = 0
+    prev_bound = -np.inf
+    tx_t, tx_i, attempts = [], [], []
+    for bound, j, starts, fires in _interval_chunks(config, rngs, s):
+        src_t, src_node, now, later = _chunk_order(
+            fires, carry_t, carry_node, bound, config.duration
+        )
+        t, node = src_t[now], src_node[now]
+        redo = carry_start >= prev_bound
+        lo = done + _fires_before(
+            t,
+            node,
+            np.concatenate([(s_ranked + (tau * j)[:, None]).ravel(), carry_start[redo]]),
+            np.concatenate([np.tile(rank, j.size), carry_node[redo]]),
+            n,
+        )
+        lo_new = np.empty((n, j.size), dtype=np.intp)
+        lo_new[rank] = lo[: fires.size].reshape(j.size, n).T
+        carry_lo[redo] = lo[fires.size:]
+        src_lo = np.concatenate([lo_new.ravel(), carry_lo])
+        tx = _sweep_single_cell(src_lo[now], config.trickle.k, done, recent)
+        tx_t.append(t[tx])
+        tx_i.append(node[tx])
+        if config.record_attempts:
+            attempts.append(t[t > config.warmup])
+        src_start = np.concatenate([starts.ravel(), carry_start])
+        carry_t, carry_node = src_t[later], src_node[later]
+        carry_start, carry_lo = src_start[later], src_lo[later]
+        done += t.size
+        prev_bound = bound
+    return _joined(tx_t, np.float64), _joined(tx_i, np.intp), _joined(attempts, np.float64)
 
 
 # Fewest fires scanned per vectorized step of the single-cell sweep.
 _MIN_CHUNK = 256
 
 
-def _sweep_single_cell(lo: np.ndarray, k: int) -> np.ndarray:
-    """Sorted positions of the transmitting fires of a single cell.
+def _sweep_single_cell(lo: np.ndarray, k: int, offset: int, recent: list[int]) -> np.ndarray:
+    """Positions, within the chunk, of the transmitting fires of one chunk
+    of a single cell's fires, the first of which is fire ``offset``.
 
     Every node hears every transmission, so fire ``p`` transmits iff fewer
     than ``k`` transmissions lie at positions ``[lo[p], p)``: iff
     ``lo[p] > thr``, where ``thr`` is the position of the k-th most recent
     transmission (-1 while there are fewer than k).  ``thr`` only grows, so
-    the fires of a chunk that pass the test against the chunk's starting
+    the fires of a step that pass the test against the step's starting
     ``thr`` are a superset of its transmissions; only those are re-tested
-    one by one.
+    one by one.  ``recent`` holds the positions of the last k transmissions
+    of the earlier chunks and is updated in place.
     """
-    tx: list[int] = []
-    thr = -1
+    before = len(recent)
+    thr = recent[-k] if before >= k else -1
     pos = 0
     while pos < lo.size:
-        end = pos + max(_MIN_CHUNK, pos - thr)
+        end = pos + max(_MIN_CHUNK, pos + offset - thr)
         seg = lo[pos:end]
         cand = np.flatnonzero(seg > thr)
-        for p, lo_p in zip((cand + pos).tolist(), seg[cand].tolist()):
+        for p, lo_p in zip((cand + (pos + offset)).tolist(), seg[cand].tolist()):
             if lo_p > thr:
-                tx.append(p)
-                if len(tx) >= k:
-                    thr = tx[-k]
+                recent.append(p)
+                if len(recent) >= k:
+                    thr = recent[-k]
         pos = end
-    return np.asarray(tx, dtype=np.intp)
+    tx = np.asarray(recent[before:], dtype=np.intp) - offset
+    del recent[:-k]
+    return tx
 
 
-def _sweep_grid(times, nodes, is_fire, neighbors, k: int):
-    """Grid sweep with explicit per-node counters; a transmission bumps the
-    counter of every in-range node at the same timestamp, before any later
-    event is processed."""
-    n = len(neighbors)
-    c = np.zeros(n, dtype=np.int64)
+def _sweep_grid(times, nodes, is_fire, neighbors, k: int, c: np.ndarray):
+    """Grid sweep over one chunk with explicit per-node counters ``c``
+    (updated in place); a transmission bumps the counter of every in-range
+    node at the same timestamp, before any later event is processed."""
     tx_t: list[float] = []
     tx_i: list[int] = []
     for t, i, fire in zip(times.tolist(), nodes.tolist(), is_fire.tolist()):
@@ -255,7 +355,51 @@ def _sweep_grid(times, nodes, is_fire, neighbors, k: int):
                 tx_i.append(i)
         else:
             c[i] = 0
-    return np.asarray(tx_t, dtype=np.float64), np.asarray(tx_i, dtype=np.intp)
+    return tx_t, tx_i
+
+
+def _run_grid(config: SimRunConfig, n: int):
+    """Transmission times and nodes, and attempt times, of a grid.
+
+    Each node's events interleave interval starts and fires (start_j <
+    fire_j < start_{j+1}), which keeps the two degenerate corners right: a
+    fire at offset zero lands after its own interval start, and a fire at
+    offset tau (eta = 1) lands before the next interval start.
+    """
+    neighbors = neighbor_table(config.topology)
+    c = np.zeros(n, dtype=np.int64)
+    rngs, s = zip(*(_stream(config, i) for i in range(n)))
+    carry_t = np.empty(0)
+    carry_node = np.empty(0, dtype=np.intp)
+    carry_fire = np.empty(0, dtype=bool)
+    tx_t: list[float] = []
+    tx_i: list[int] = []
+    attempts = []
+    for bound, j, starts, fires in _interval_chunks(config, rngs, np.asarray(s)):
+        events = np.empty((n, 2 * j.size))
+        events[:, 0::2] = starts
+        events[:, 1::2] = fires
+        src_t, src_node, now, later = _chunk_order(
+            events, carry_t, carry_node, bound, config.duration
+        )
+        src_fire = np.concatenate([np.tile([False, True], n * j.size), carry_fire])
+        t, is_fire = src_t[now], src_fire[now]
+        chunk_t, chunk_i = _sweep_grid(t, src_node[now], is_fire, neighbors, config.trickle.k, c)
+        tx_t += chunk_t
+        tx_i += chunk_i
+        if config.record_attempts:
+            t = t[is_fire]
+            attempts.append(t[t > config.warmup])
+        carry_t, carry_node, carry_fire = src_t[later], src_node[later], src_fire[later]
+    return (
+        np.asarray(tx_t, dtype=np.float64),
+        np.asarray(tx_i, dtype=np.intp),
+        _joined(attempts, np.float64),
+    )
+
+
+def _joined(parts: list, dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
 
 def _windows(config: SimRunConfig) -> tuple[int, int]:
@@ -275,21 +419,11 @@ def run(config: SimRunConfig) -> SimStats:
     produce bit-identical results.
     """
     n = num_nodes(config.topology)
-    k = config.trickle.k
-    if isinstance(config.topology, SingleCell):
-        fire_t, fire_i, lo = _cell_fires(config, n)
-        tx = _sweep_single_cell(lo, k)
-        tx_times, tx_nodes = fire_t[tx], fire_i[tx]
-    else:
-        times, nodes, is_fire = _event_schedule(config, n)
-        tx_times, tx_nodes = _sweep_grid(
-            times, nodes, is_fire, neighbor_table(config.topology), k
-        )
-        fire_t = times[is_fire]
+    kernel = _run_cell if isinstance(config.topology, SingleCell) else _run_grid
+    tx_times, tx_nodes, attempts = kernel(config, n)
 
     tau = config.trickle.tau_h
-    warm, dur = config.warmup, config.duration
-    m = (tx_times > warm) & (tx_times <= dur)
+    m = tx_times > config.warmup
     tx_times = tx_times[m]
     tx_nodes = tx_nodes[m]
 
@@ -303,10 +437,6 @@ def run(config: SimRunConfig) -> SimStats:
 
     per_node = dict(enumerate(np.bincount(tx_nodes, minlength=n).tolist()))
 
-    attempts = None
-    if config.record_attempts:
-        attempts = fire_t[(fire_t > warm) & (fire_t <= dur)]
-
     return SimStats(
         config=config,
         transmission_times=tx_times,
@@ -315,7 +445,7 @@ def run(config: SimRunConfig) -> SimStats:
         per_interval_counts=per_interval,
         per_node_counts=per_node,
         first_window=w0,
-        attempt_times=attempts,
+        attempt_times=attempts if config.record_attempts else None,
     )
 
 

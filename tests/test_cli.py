@@ -283,6 +283,15 @@ def test_multicell_without_transmissions_exits_2(tmp_path):
                    "--seed", "12", "--out", str(tmp_path)) == 2
 
 
+def test_compare_without_gaps_exits_2_without_output(tmp_path):
+    # n=20 yields gaps and is checked first; the lone node then fires at
+    # most once in [10, 11] for seed 1, so n=1 has no gap
+    out = tmp_path / "out"
+    assert run_cli("compare", "--k", "1", "--n", "20,1", "--eta", "0", "--replications", "1",
+                   "--duration", "11", "--warmup", "10", "--seed", "1", "--out", str(out)) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_internal_value_error_propagates(tmp_path, monkeypatch):
     def broken(spec):
         raise ValueError("internal bug")

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from _reference import reference_run
+from tricklesim import engine
 from tricklesim.core import TrickleConfig
 from tricklesim.engine import (
     SimRunConfig,
@@ -208,20 +210,36 @@ def test_synchronized_schedule_has_no_skew_draw():
 # --------------------------------------------------------------------------
 # equivalence against the event-loop reference
 
-@pytest.mark.parametrize(
-    "k,n,eta,skew",
-    [
-        (1, 6, 0.0, Skew.UNIFORM_RANDOM),
-        (2, 7, 0.4, Skew.UNIFORM_RANDOM),
-        (3, 5, 0.9, Skew.UNIFORM_RANDOM),
-        (1, 4, 1.0, Skew.UNIFORM_RANDOM),
-        (2, 5, 1.0, Skew.SYNCHRONIZED),
-        (1, 8, 0.0, Skew.SYNCHRONIZED),
-    ],
-)
+@pytest.fixture
+def two_interval_windows(monkeypatch):
+    """Build every schedule in windows of two interval indices, so a run
+    crosses a chunk boundary every two time units."""
+    monkeypatch.setattr(engine, "_SCHEDULE_FIRES", 1)
+
+
+CELL_CASES = [
+    (1, 6, 0.0, Skew.UNIFORM_RANDOM),
+    (2, 7, 0.4, Skew.UNIFORM_RANDOM),
+    (3, 5, 0.9, Skew.UNIFORM_RANDOM),
+    (1, 4, 1.0, Skew.UNIFORM_RANDOM),
+    (2, 5, 1.0, Skew.SYNCHRONIZED),
+    (1, 8, 0.0, Skew.SYNCHRONIZED),
+]
+
+
+def short_cell(k, n, eta, skew):
+    return cell_cfg(k, n, eta, duration=23.0, warmup=2.0, seed=123, skew=skew,
+                    record_attempts=True)
+
+
+@pytest.mark.parametrize("k,n,eta,skew", CELL_CASES)
 def test_single_cell_matches_reference(k, n, eta, skew):
-    assert_matches_reference(cell_cfg(k, n, eta, duration=23.0, warmup=2.0, seed=123,
-                                      skew=skew, record_attempts=True))
+    assert_matches_reference(short_cell(k, n, eta, skew))
+
+
+@pytest.mark.parametrize("k,n,eta,skew", CELL_CASES)
+def test_chunked_single_cell_matches_reference(two_interval_windows, k, n, eta, skew):
+    assert_matches_reference(short_cell(k, n, eta, skew))
 
 
 def assert_matches_reference(cfg):
@@ -234,31 +252,49 @@ def assert_matches_reference(cfg):
     assert np.array_equal(st.attempt_times, att[am])
 
 
-@pytest.mark.parametrize(
-    "k,n,eta,skew",
-    [
-        # about 12k fires: the sweep crosses many chunk boundaries
-        (1, 300, 0.0, Skew.UNIFORM_RANDOM),
-        (1, 300, 0.5, Skew.UNIFORM_RANDOM),
-        (3, 300, 0.0, Skew.UNIFORM_RANDOM),
-        (3, 300, 0.5, Skew.UNIFORM_RANDOM),
-        (16, 300, 0.0, Skew.UNIFORM_RANDOM),
-        (16, 300, 0.5, Skew.UNIFORM_RANDOM),
-        (1, 1, 0.0, Skew.UNIFORM_RANDOM),
-        (2, 1, 1.0, Skew.SYNCHRONIZED),
-        (5, 5, 0.0, Skew.UNIFORM_RANDOM),  # k >= n
-        (30, 12, 0.3, Skew.UNIFORM_RANDOM),  # k >= 2(n-1): nothing is suppressed
-        (2, 40, 0.5, Skew.SYNCHRONIZED),
-        (2, 40, 1.0, Skew.SYNCHRONIZED),
-    ],
-)
+LONG_CELL_CASES = [
+    # about 12k fires: the sweep crosses many of its scan steps
+    (1, 300, 0.0, Skew.UNIFORM_RANDOM),
+    (1, 300, 0.5, Skew.UNIFORM_RANDOM),
+    (3, 300, 0.0, Skew.UNIFORM_RANDOM),
+    (3, 300, 0.5, Skew.UNIFORM_RANDOM),
+    (16, 300, 0.0, Skew.UNIFORM_RANDOM),
+    (16, 300, 0.5, Skew.UNIFORM_RANDOM),
+    (1, 1, 0.0, Skew.UNIFORM_RANDOM),
+    (2, 1, 1.0, Skew.SYNCHRONIZED),
+    (5, 5, 0.0, Skew.UNIFORM_RANDOM),  # k >= n
+    (30, 12, 0.3, Skew.UNIFORM_RANDOM),  # k >= 2(n-1): nothing is suppressed
+    (2, 40, 0.5, Skew.SYNCHRONIZED),
+    (2, 40, 1.0, Skew.SYNCHRONIZED),
+]
+
+
+def long_cell(k, n, eta, skew):
+    return cell_cfg(k, n, eta, duration=40.0, warmup=2.0, seed=9, skew=skew,
+                    record_attempts=True)
+
+
+@pytest.mark.parametrize("k,n,eta,skew", LONG_CELL_CASES)
 def test_single_cell_matches_reference_long(k, n, eta, skew):
-    assert_matches_reference(cell_cfg(k, n, eta, duration=40.0, warmup=2.0, seed=9,
-                                      skew=skew, record_attempts=True))
+    assert_matches_reference(long_cell(k, n, eta, skew))
+
+
+@pytest.mark.parametrize("k,n,eta,skew", LONG_CELL_CASES)
+def test_chunked_single_cell_matches_reference_long(two_interval_windows, k, n, eta, skew):
+    assert_matches_reference(long_cell(k, n, eta, skew))
 
 
 @pytest.mark.parametrize("k,eta", [(1, 0.0), (2, 0.0), (1, 1.0), (2, 1.0)])
 def test_single_cell_matches_all_in_range_grid(k, eta):
+    assert_cell_matches_all_in_range_grid(k, eta)
+
+
+@pytest.mark.parametrize("k,eta", [(1, 0.0), (2, 0.0), (1, 1.0), (2, 1.0)])
+def test_chunked_single_cell_matches_all_in_range_grid(two_interval_windows, k, eta):
+    assert_cell_matches_all_in_range_grid(k, eta)
+
+
+def assert_cell_matches_all_in_range_grid(k, eta):
     # node schedules depend only on (seed, node), so a grid whose radio range
     # covers the whole torus is the same cell swept by the grid kernel
     def cfg(topology):
@@ -279,16 +315,139 @@ def test_single_cell_matches_all_in_range_grid(k, eta):
     assert np.array_equal(cell.attempt_times, grid.attempt_times)
 
 
-@pytest.mark.parametrize("k,r,eta", [(1, 1.0, 0.0), (2, 1.5, 0.5), (1, 2.2, 1.0)])
-def test_grid_matches_reference(k, r, eta):
-    assert_matches_reference(SimRunConfig(
+GRID_CASES = [(1, 1.0, 0.0), (2, 1.5, 0.5), (1, 2.2, 1.0)]
+
+
+def grid_cfg(k, r, eta, skew=Skew.UNIFORM_RANDOM):
+    return SimRunConfig(
         trickle=TrickleConfig(k=k, tau_l=1.0, tau_h=1.0, eta=eta),
         topology=Grid(side=4, radio_range=r),
         duration=17.0,
         warmup=2.0,
         seed=321,
+        skew=skew,
         record_attempts=True,
-    ))
+    )
+
+
+@pytest.mark.parametrize("k,r,eta", GRID_CASES)
+def test_grid_matches_reference(k, r, eta):
+    assert_matches_reference(grid_cfg(k, r, eta))
+
+
+@pytest.mark.parametrize("k,r,eta", GRID_CASES)
+def test_chunked_grid_matches_reference(two_interval_windows, k, r, eta):
+    assert_matches_reference(grid_cfg(k, r, eta))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [cell_cfg(3, 12, 1.0, duration=30.0, warmup=2.0, seed=5, skew=Skew.SYNCHRONIZED,
+              record_attempts=True),
+     grid_cfg(2, 1.5, 1.0, skew=Skew.SYNCHRONIZED)],
+    ids=["cell", "grid"],
+)
+def test_chunk_boundary_ties_synchronized_eta_one(two_interval_windows, cfg):
+    # every fire is capped at the next interval start, j + 1, so every
+    # second fire lands exactly on a window bound, tied with the interval
+    # starts of the next window
+    st = run(cfg)
+    assert np.all(st.attempt_times == np.floor(st.attempt_times))
+    assert np.any(st.attempt_times % 2 == 0)
+    assert_matches_reference(cfg)
+
+
+@pytest.mark.parametrize(
+    "topology", [SingleCell(30), Grid(side=5, radio_range=1.5)], ids=["cell", "grid"]
+)
+@pytest.mark.parametrize(
+    "skew,eta,tau",
+    [(Skew.UNIFORM_RANDOM, 0.3, 0.7), (Skew.SYNCHRONIZED, 1.0, 0.75)],
+    ids=["uniform", "sync"],
+)
+def test_chunking_leaves_runs_unchanged(monkeypatch, topology, skew, eta, tau):
+    # window bounds and interval starts are not whole numbers
+    cfg = SimRunConfig(
+        trickle=TrickleConfig(k=2, tau_l=tau, tau_h=tau, eta=eta),
+        topology=topology,
+        duration=21.0,
+        warmup=1.5,
+        seed=61,
+        skew=skew,
+        record_attempts=True,
+    )
+    whole = run(cfg)
+    monkeypatch.setattr(engine, "_SCHEDULE_FIRES", 1)
+    chunked = run(cfg)
+    assert whole.total_transmissions > 0
+    assert np.array_equal(whole.transmission_times, chunked.transmission_times)
+    assert np.array_equal(whole.transmission_nodes, chunked.transmission_nodes)
+    assert np.array_equal(whole.attempt_times, chunked.attempt_times)
+    assert np.array_equal(whole.per_interval_counts, chunked.per_interval_counts)
+
+
+@pytest.mark.parametrize(
+    "topology", [SingleCell(2), Grid(side=3, radio_range=1.0)], ids=["cell", "grid"]
+)
+def test_start_rounded_onto_window_bound(monkeypatch, topology):
+    # A skew one ulp below tau_h makes every later start of node 0 round up
+    # onto a multiple of tau_h, so node 0 starts an interval exactly at each
+    # window bound, tied with its own capped fire (eta = 1) there.
+    stream = engine._stream
+
+    def skew_near_tau(config, node_id):
+        rng, s = stream(config, node_id)
+        return rng, np.nextafter(config.trickle.tau_h, 0.0) if node_id == 0 else s
+
+    monkeypatch.setattr(engine, "_stream", skew_near_tau)
+    cfg = SimRunConfig(
+        trickle=TrickleConfig(k=2, tau_l=1.0, tau_h=1.0, eta=1.0),
+        topology=topology,
+        duration=30.0,
+        warmup=2.0,
+        seed=3,
+        record_attempts=True,
+    )
+    whole = run(cfg)
+    assert np.any(whole.attempt_times == np.floor(whole.attempt_times))
+    monkeypatch.setattr(engine, "_SCHEDULE_FIRES", 1)
+    chunked = run(cfg)
+    assert np.array_equal(whole.transmission_times, chunked.transmission_times)
+    assert np.array_equal(whole.transmission_nodes, chunked.transmission_nodes)
+    assert np.array_equal(whole.attempt_times, chunked.attempt_times)
+
+
+def test_chunked_draws_equal_node_schedule(two_interval_windows):
+    n = 7
+    cfg = cell_cfg(2, n, 0.4, duration=15.5, seed=23)
+    rngs, skews = zip(*(engine._stream(cfg, i) for i in range(n)))
+    chunks = list(engine._interval_chunks(cfg, rngs, np.asarray(skews)))
+    assert len(chunks) == 8
+    starts = np.hstack([c[2] for c in chunks])
+    fires = np.hstack([c[3] for c in chunks])
+    for i in range(n):
+        s, thetas = node_schedule(cfg, i)
+        j = np.arange(thetas.size)
+        assert skews[i] == s
+        assert np.array_equal(starts[i][np.isfinite(starts[i])], s + 1.0 * j)
+        assert np.array_equal(fires[i][np.isfinite(fires[i])],
+                              np.minimum(s + 1.0 * j + thetas, s + 1.0 * (j + 1)))
+
+
+def test_run_memory_does_not_grow_with_duration():
+    def peak(duration):
+        cfg = cell_cfg(2, 500, 0.5, duration=duration, seed=3)
+        tracemalloc.start()
+        try:
+            run(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run(cell_cfg(2, 500, 0.5, duration=20.0, seed=3))  # import numpy's lazy parts untraced
+    short, long = peak(260.0), peak(2010.0)
+    # the 8x longer run holds the same schedule chunk and 8x the transmissions
+    assert long < 2 * short
 
 
 def test_reference_fuzz_many_seeds():
