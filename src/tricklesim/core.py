@@ -115,7 +115,7 @@ def start_interval(state: NodeState, config: TrickleConfig, now: float, rand) ->
     eta = 1 the window collapses and theta = tau exactly.
     """
     u = _draw(rand)
-    theta = config.eta * state.tau + u * (1.0 - config.eta) * state.tau
+    theta = state.tau * (config.eta + u * (1.0 - config.eta))
     return replace(state, c=0, theta=theta, interval_start=now, has_fired=False)
 
 

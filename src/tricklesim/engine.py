@@ -6,30 +6,35 @@ never shrink or grow).  Each node's interval starts and timer fires come
 from its own seeded stream; simultaneous events are ordered by (time, node
 id, per-node sequence).
 
-The schedule is built in time chunks.  A window of interval indices
-``[j0, j0 + W)`` draws ``W`` offsets from every node's stream and emits the
-events before ``B = (j0 + W)*tau_h``; every event of a later interval is
-at or after ``B``, so the few events at or past it carry over to the next
-window.  A chunk is laid out in (node, sequence) order, carried events
-first, and sorted stably on time, so chunks split no tie and their
-concatenation is the whole schedule in (time, node, sequence) order.
-``W = max(2, _SCHEDULE_FIRES // n)``: a chunk holds about 2**17 fires of
-the n nodes, so a run's memory is O(n + chunk) whatever its duration.  Runs
-of up to 2**17 fires (small cells over the usual horizons) are one chunk.
-The constant is fixed, not a setting: results do not depend on it, and it
-trades per-chunk work for memory.
+Only the fires are scheduled and sorted.  Each fire is tagged with ``lo``,
+the number of fires ahead of its own interval start in that order, and fire
+``p`` of node ``i`` transmits iff fewer than ``k`` transmissions that ``i``
+hears lie at positions ``[lo_p, p)``.  The fires are built in time chunks.
+A window of interval indices ``[j0, j0 + W)`` draws ``W`` offsets from
+every node's stream and emits the fires before ``B = (j0 + W)*tau_h``;
+every fire of a later interval is at or after ``B``, so the few fires at
+or past it carry over to the next window.  A chunk is laid out in (node,
+sequence) order, carried fires first, and sorted stably on time, so chunks
+split no tie and their concatenation is the whole schedule in (time, node,
+sequence) order.  ``W = max(2, _SCHEDULE_FIRES // n)``: a chunk holds about
+2**17 fires of the n nodes, so a run's memory is O(n + chunk) whatever its
+duration.  Runs of up to 2**17 fires (small cells over the usual horizons)
+are one chunk.  The constant is fixed, not a setting: results do not
+depend on it, and it trades per-chunk work for memory.
 
-Each topology has its own kernel over the chunks:
+One chunk loop serves both topologies; only the sweep over a chunk's
+sorted fires differs:
 
 * single cell -- every node hears every transmission, so a fire transmits
-  iff the k-th most recent transmission came before the firing node's
-  interval start.  Only the fires are sorted, each tagged with the number
-  of fires ahead of its interval start, and a vectorized scan steps
-  through the candidate transmitters alone, carrying the last k
-  transmissions from chunk to chunk;
-* grid -- interval starts and fires are merged into one schedule and swept
-  event by event with per-node counters, bumped for all lattice neighbors
-  in range of each sender; the counters carry from chunk to chunk.
+  iff the k-th most recent transmission lies before its ``lo``; a
+  vectorized scan steps through the candidate transmitters alone,
+  carrying the last k transmissions from chunk to chunk;
+* grid -- each node counts the transmissions it has heard so far, and the
+  count at its latest interval start bounds what a fire has heard from
+  below.  Taken ``_GRID_STEP`` fires at a time, that bound suppresses most
+  fires in one vectorized test, and the few left are resolved together
+  against the step's earlier transmitters among their neighbors
+  (`_GridSweep`); the counts carry from chunk to chunk.
 
 Determinism: node ``i``'s draws come from a stream derived from
 ``(seed, i)``, so runs are bit-reproducible, changing the node count does
@@ -201,19 +206,21 @@ def _interval_chunks(config: SimRunConfig, rngs, s: np.ndarray):
             starts[gone] = np.inf
             fires[gone] = np.inf
         bound = tau * (j0 + j.size) if j0 + j.size < end else np.inf
+        del u
         yield bound, j, starts, fires
+        del starts, fires  # freed before the next window is drawn
 
 
 def _chunk_order(t: np.ndarray, carry_t, carry_node, bound: float, duration: float):
-    """Lay out and order one chunk: a window's events plus those carried in.
+    """Lay out and order one chunk: a window's fires plus those carried in.
 
-    ``t`` holds the window's event times as a (node, per-node sequence)
-    array; carried event ``r`` (in (node, sequence) order) is source index
+    ``t`` holds the window's fire times as a (node, interval) array;
+    carried fire ``r`` (in (node, sequence) order) is source index
     ``t.size + r`` and goes to the head of its node's row, so the layout
     stays in (node, sequence) order and one stable sort on time yields the
     (time, node, sequence) order.  Returns (src_t, src_node, now, later):
-    the source times and nodes, the sorted source indices of the events
-    before ``bound``, and those of the events in ``[bound, duration]``,
+    the source times and nodes, the sorted source indices of the fires
+    before ``bound``, and those of the fires in ``[bound, duration]``,
     which carry on, in layout order.
     """
     n, width = t.shape
@@ -253,8 +260,8 @@ def _fires_before(t, node, start, start_node, n: int) -> np.ndarray:
     return lo
 
 
-def _run_cell(config: SimRunConfig, n: int):
-    """Transmission times and nodes, and attempt times, of a single cell.
+def _run_chunks(config: SimRunConfig, n: int, sweep):
+    """Transmission times and nodes, and attempt times, of a run.
 
     Each chunk's fires are tagged with ``lo``, the number of fires of the
     whole run ahead of their interval start, computed in the window of
@@ -262,6 +269,13 @@ def _run_cell(config: SimRunConfig, n: int):
     time in this chunk or an earlier one.  A carried fire keeps its ``lo``
     unless its start is itself at or past the bound, which only rounding
     on the last ulp can bring about.
+
+    ``sweep(node, lo, offset, start_node, start_lo)`` decides one chunk's
+    sorted fires, the first of which is fire ``offset`` of the run, and
+    returns the positions within the chunk of those that transmit.
+    ``start_node`` and ``start_lo`` list, in two pieces each, the interval
+    starts that the chunk reaches: the window's own and those of carried
+    fires that no fire of the last chunk followed.
     """
     tau = config.trickle.tau_h
     rngs, s = zip(*(_stream(config, i) for i in range(n)))
@@ -272,7 +286,6 @@ def _run_cell(config: SimRunConfig, n: int):
     s_ranked = s[rank]
     carry_t = carry_start = np.empty(0)
     carry_node = carry_lo = np.empty(0, dtype=np.intp)
-    recent: list[int] = []
     done = 0
     prev_bound = -np.inf
     tx_t, tx_i, attempts = [], [], []
@@ -282,18 +295,27 @@ def _run_cell(config: SimRunConfig, n: int):
         )
         t, node = src_t[now], src_node[now]
         redo = carry_start >= prev_bound
+        start_node = np.tile(rank, j.size)
         lo = done + _fires_before(
             t,
             node,
             np.concatenate([(s_ranked + (tau * j)[:, None]).ravel(), carry_start[redo]]),
-            np.concatenate([np.tile(rank, j.size), carry_node[redo]]),
+            np.concatenate([start_node, carry_node[redo]]),
             n,
         )
-        lo_new = np.empty((n, j.size), dtype=np.intp)
-        lo_new[rank] = lo[: fires.size].reshape(j.size, n).T
+        start_lo = lo[: fires.size]
         carry_lo[redo] = lo[fires.size:]
+        lo_new = np.empty((n, j.size), dtype=np.intp)
+        lo_new[rank] = start_lo.reshape(j.size, n).T
         src_lo = np.concatenate([lo_new.ravel(), carry_lo])
-        tx = _sweep_single_cell(src_lo[now], config.trickle.k, done, recent)
+        reached = carry_lo >= done
+        tx = sweep(
+            node,
+            src_lo[now],
+            done,
+            [start_node, carry_node[reached]],
+            [start_lo, carry_lo[reached]],
+        )
         tx_t.append(t[tx])
         tx_i.append(node[tx])
         if config.record_attempts:
@@ -303,6 +325,9 @@ def _run_cell(config: SimRunConfig, n: int):
         carry_start, carry_lo = src_start[later], src_lo[later]
         done += t.size
         prev_bound = bound
+        # drop this chunk's arrays before the next one is built
+        del src_t, src_node, now, t, node, lo, start_node, start_lo, lo_new, src_lo, src_start
+        del starts, fires
     return _joined(tx_t, np.float64), _joined(tx_i, np.intp), _joined(attempts, np.float64)
 
 
@@ -341,61 +366,115 @@ def _sweep_single_cell(lo: np.ndarray, k: int, offset: int, recent: list[int]) -
     return tx
 
 
-def _sweep_grid(times, nodes, is_fire, neighbors, k: int, c: np.ndarray):
-    """Grid sweep over one chunk with explicit per-node counters ``c``
-    (updated in place); a transmission bumps the counter of every in-range
-    node at the same timestamp, before any later event is processed."""
-    tx_t: list[float] = []
-    tx_i: list[int] = []
-    for t, i, fire in zip(times.tolist(), nodes.tolist(), is_fire.tolist()):
-        if fire:
-            if c[i] < k:
-                c[neighbors[i]] += 1
-                tx_t.append(t)
-                tx_i.append(i)
-        else:
-            c[i] = 0
-    return tx_t, tx_i
+# Fires per step of the grid sweep.  Fixed, not a setting, like the chunk:
+# results do not depend on it; it trades the per-step numpy calls against
+# the fires of a step that the heard-count bound keeps.
+_GRID_STEP = 512
 
 
-def _run_grid(config: SimRunConfig, n: int):
-    """Transmission times and nodes, and attempt times, of a grid.
+def _pairs(rows: np.ndarray, nodes: np.ndarray, flag: np.ndarray, index: np.ndarray):
+    """Every (r, q) with ``nodes[q]`` in ``rows[r]``, by one gather of
+    ``rows`` through ``flag``.  ``flag`` and ``index`` are node-indexed
+    work arrays; ``flag`` is False everywhere (the padding id included)
+    and is left so.  A node listed more than once in ``nodes`` is matched
+    in further rounds."""
+    width = rows.shape[1]
+    flat = rows.ravel()
+    out_r, out_q = [], []
+    todo = np.arange(nodes.size)
+    while todo.size:
+        at = nodes[todo]
+        flag[at] = True
+        index[at] = todo
+        hit = np.flatnonzero(flag[rows])
+        out_r.append(hit // width)
+        out_q.append(index[flat[hit]])
+        flag[at] = False
+        todo = todo[index[at] != todo]
+    return _joined(out_r, np.intp), _joined(out_q, np.intp)
 
-    Each node's events interleave interval starts and fires (start_j <
-    fire_j < start_{j+1}), which keeps the two degenerate corners right: a
-    fire at offset zero lands after its own interval start, and a fire at
-    offset tau (eta = 1) lands before the next interval start.
+
+class _GridSweep:
+    """Grid sweep over a run's chunks of sorted, ``lo``-tagged fires.
+
+    Fire ``p`` of node ``i`` transmits iff fewer than ``k`` transmissions
+    by i's neighbors lie at positions ``[lo[p], p)``.  ``heard[i]`` counts
+    the transmissions node i has heard so far and only grows; ``base[i]``
+    is ``heard[i]`` at i's latest interval start.  The fires are taken
+    ``_GRID_STEP`` at a time:
+
+    * a fire whose interval started before the step has heard at least
+      ``heard[i] - base[i]`` by now, so it is suppressed if that reaches
+      ``k``; one whose interval starts inside the step has heard 0 so far;
+    * the fires left are resolved together: each adds the earlier ones of
+      the step that transmitted, are its neighbors and lie at or after its
+      ``lo``.  Those pairs come from one gather of the padded neighbor
+      matrix, and as they all point backwards, re-deciding every fire from
+      "all transmit" settles on the exact answer within as many rounds as
+      the longest chain of pairs;
+    * the starts whose ``lo`` falls in the step get their ``base``:
+      ``heard`` before the step plus the step's transmissions ahead of
+      ``lo`` that the node hears; then ``heard`` takes the step's
+      transmissions.
+
+    ``heard`` and ``base`` carry from chunk to chunk.
     """
-    neighbors = neighbor_table(config.topology)
-    c = np.zeros(n, dtype=np.int64)
-    rngs, s = zip(*(_stream(config, i) for i in range(n)))
-    carry_t = np.empty(0)
-    carry_node = np.empty(0, dtype=np.intp)
-    carry_fire = np.empty(0, dtype=bool)
-    tx_t: list[float] = []
-    tx_i: list[int] = []
-    attempts = []
-    for bound, j, starts, fires in _interval_chunks(config, rngs, np.asarray(s)):
-        events = np.empty((n, 2 * j.size))
-        events[:, 0::2] = starts
-        events[:, 1::2] = fires
-        src_t, src_node, now, later = _chunk_order(
-            events, carry_t, carry_node, bound, config.duration
-        )
-        src_fire = np.concatenate([np.tile([False, True], n * j.size), carry_fire])
-        t, is_fire = src_t[now], src_fire[now]
-        chunk_t, chunk_i = _sweep_grid(t, src_node[now], is_fire, neighbors, config.trickle.k, c)
-        tx_t += chunk_t
-        tx_i += chunk_i
-        if config.record_attempts:
-            t = t[is_fire]
-            attempts.append(t[t > config.warmup])
-        carry_t, carry_node, carry_fire = src_t[later], src_node[later], src_fire[later]
-    return (
-        np.asarray(tx_t, dtype=np.float64),
-        np.asarray(tx_i, dtype=np.intp),
-        _joined(attempts, np.float64),
-    )
+
+    def __init__(self, grid, n: int, k: int):
+        table = neighbor_table(grid)
+        sizes = np.fromiter((a.size for a in table), dtype=np.intp, count=n)
+        # Rows padded with node id n, which no node is; the node-indexed
+        # arrays have an entry for it that is never read.
+        self.nbr = np.full((n, int(sizes.max())), n, dtype=np.intp)
+        self.nbr[np.arange(self.nbr.shape[1]) < sizes[:, None]] = _joined(table, np.intp)
+        self.k = k
+        self.heard = np.zeros(n + 1, dtype=np.intp)
+        self.base = np.zeros(n + 1, dtype=np.intp)
+        self.flag = np.zeros(n + 1, dtype=bool)
+        self.index = np.zeros(n + 1, dtype=np.intp)
+
+    def __call__(self, node, lo, offset: int, start_node, start_lo) -> np.ndarray:
+        k, nbr, heard, base = self.k, self.nbr, self.heard, self.base
+        marks = self.flag, self.index
+        start_node, start_lo = np.concatenate(start_node), np.concatenate(start_lo)
+        by_lo = np.argsort(start_lo, kind="stable")
+        start_node, start_lo = start_node[by_lo], start_lo[by_lo] - offset
+        steps = np.append(np.arange(0, node.size, _GRID_STEP), node.size)
+        cuts = np.searchsorted(start_lo, steps).tolist()
+        steps = steps.tolist()
+        tx = []
+        for a, b, c0, c1 in zip(steps, steps[1:], cuts, cuts[1:]):
+            seg = node[a:b]
+            seg_lo = lo[a:b] - (offset + a)
+            count = heard[seg] - base[seg]
+            count[seg_lo >= 0] = 0
+            cand = np.flatnonzero(count < k)
+            cand_node = seg[cand]
+            rows = nbr[cand_node]
+            count = count[cand]
+            later, earlier = _pairs(rows, cand_node, *marks)
+            keep = (earlier < later) & (cand[earlier] >= seg_lo[cand[later]])
+            sends = count < k
+            if keep.any():
+                # every pair points backwards, so this settles (class docstring)
+                later, earlier = later[keep], earlier[keep]
+                while True:
+                    again = count + np.bincount(later, sends[earlier], count.size) < k
+                    if np.array_equal(again, sends):
+                        break
+                    sends = again
+            rows = rows[sends]
+            sent = cand[sends]
+            if c1 > c0:
+                starting = start_node[c0:c1]
+                r, q = _pairs(rows, starting, *marks)
+                ahead = sent[r] < start_lo[c0:c1][q] - a
+                heard_at_start = heard[starting] + np.bincount(q[ahead], minlength=starting.size)
+                # heard only grows, so the largest is the node's latest start
+                np.maximum.at(base, starting, heard_at_start)
+            np.add.at(heard, rows, 1)
+            tx.append(sent + a)
+        return _joined(tx, np.intp)
 
 
 def _joined(parts: list, dtype) -> np.ndarray:
@@ -419,8 +498,15 @@ def run(config: SimRunConfig) -> SimStats:
     produce bit-identical results.
     """
     n = num_nodes(config.topology)
-    kernel = _run_cell if isinstance(config.topology, SingleCell) else _run_grid
-    tx_times, tx_nodes, attempts = kernel(config, n)
+    k = config.trickle.k
+    if isinstance(config.topology, SingleCell):
+        recent: list[int] = []
+
+        def sweep(node, lo, offset, start_node, start_lo):
+            return _sweep_single_cell(lo, k, offset, recent)
+    else:
+        sweep = _GridSweep(config.topology, n, k)
+    tx_times, tx_nodes, attempts = _run_chunks(config, n, sweep)
 
     tau = config.trickle.tau_h
     m = tx_times > config.warmup
@@ -428,12 +514,11 @@ def run(config: SimRunConfig) -> SimStats:
     tx_nodes = tx_nodes[m]
 
     w0, n_windows = _windows(config)
-    if n_windows > 0:
-        in_win = (tx_times >= w0 * tau) & (tx_times < (w0 + n_windows) * tau)
-        idx = np.floor(tx_times[in_win] / tau).astype(np.int64) - w0
-        per_interval = np.bincount(idx, minlength=n_windows)
-    else:
-        per_interval = np.zeros(0, dtype=np.int64)
+    # Window w is [w*tau_h, (w+1)*tau_h), with the edges computed as such
+    # (not by dividing the times by tau_h, which rounds differently).
+    edges = np.arange(w0, w0 + n_windows + 1) * tau
+    idx = np.searchsorted(edges, tx_times, side="right") - 1
+    per_interval = np.bincount(idx[(idx >= 0) & (idx < n_windows)], minlength=n_windows)
 
     per_node = dict(enumerate(np.bincount(tx_nodes, minlength=n).tolist()))
 

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .quadrature import QuadratureError, quad
+from .quadrature import EPSABS, QuadratureError, quad
 
 __all__ = [
     "LifetimeDistribution",
@@ -106,7 +106,13 @@ class LifetimeDistribution:
         if self._moment is not None:
             v = float(self._moment(j))
         else:
-            v = j * quad(lambda s: s ** (j - 1) * self.sf(s), 0.0, self.support_hi)
+            # sf is 1 below the support: that piece is lo^j exactly.  The
+            # tolerance is relative only, as a narrow lifetime's moments can
+            # lie far below the default absolute one.
+            lo = self.support_lo
+            v = lo**j + j * quad(
+                lambda s: s ** (j - 1) * self.sf(s), lo, self.support_hi, epsabs=0.0
+            )
         if not math.isfinite(v):
             raise QuadratureError(f"moment {j} of {self.name} is not finite: {v}")
         return v
@@ -162,12 +168,20 @@ def uniform(lo: float = 0.0, hi: float = 1.0) -> LifetimeDistribution:
     )
 
 
+# Survival exp(-z^2/2) is exactly 0.0 in double precision past z = 38.6,
+# so a shifted Rayleigh's support ends, as computed, within this many scales.
+_RAYLEIGH_WIDTH = 40.0
+
+
 def shifted_rayleigh(shift: float, scale: float) -> LifetimeDistribution:
     """Lifetime with survival ``exp(-(t - shift)^2 / (2 scale^2))`` past `shift`.
 
     Zero hazard on [0, shift], then a linearly growing hazard -- the law of
     the first broadcast in a cell where no timer can fire before the
-    listen-only boundary.
+    listen-only boundary.  Its support is declared as ``[shift, shift +
+    40 scale]``, beyond which the survival underflows to zero, so integrals
+    of it run over that finite stretch and not over the flat part or an
+    infinite tail (a narrow law, scale << shift, is otherwise missed).
     """
     if shift < 0:
         raise ValueError(f"shift must be >= 0, got {shift}")
@@ -188,7 +202,7 @@ def shifted_rayleigh(shift: float, scale: float) -> LifetimeDistribution:
 
     return LifetimeDistribution(
         cdf=cdf,
-        support=(0.0, math.inf),
+        support=(shift, shift + _RAYLEIGH_WIDTH * scale),
         pdf=pdf,
         inverse_cdf=lambda u: shift + scale * math.sqrt(-2.0 * math.log1p(-u)),
         name=f"ShiftedRayleigh({shift:g},{scale:g})",
@@ -220,8 +234,16 @@ def stationary_sf(spec: ChainSpec, y: float) -> float:
     upper = spec.dist.support_hi - y
     if upper <= 0:
         return 0.0
-    val = quad(lambda s: spec.dist.sf(s + y) * s ** (m - 1), 0.0, upper)
-    return min(1.0, max(0.0, m / spec.moment_m * val))
+    # sf(s + y) is 1 while s + y is below the support: that piece is exact,
+    # and the quadrature starts where sf starts to fall.
+    flat = max(0.0, spec.dist.support_lo - y)
+    scale = m / spec.moment_m
+    # The absolute tolerance applies to the result, not to the raw integral,
+    # which is as small as E[Y^m] for a narrow lifetime.
+    val = flat**m / m + quad(
+        lambda s: spec.dist.sf(s + y) * s ** (m - 1), flat, upper, epsabs=EPSABS / scale
+    )
+    return min(1.0, max(0.0, scale * val))
 
 
 def stationary_cdf(spec: ChainSpec, y: float) -> float:

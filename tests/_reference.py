@@ -4,8 +4,8 @@ A heapq event loop drives the pure per-node operations one event at a
 time, with explicit per-node heard-message counters.  It consumes each
 node's random stream in the same order as the production engine (skew
 first in uniform mode, then one broadcast offset per interval) and builds
-event times with the same float arithmetic, so for tau_h = 1.0 the two
-must agree bit-for-bit on every transmission.
+event times with the same float arithmetic, so the two must agree
+bit-for-bit on every transmission, whatever tau_h.
 """
 
 from __future__ import annotations

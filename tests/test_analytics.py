@@ -360,6 +360,24 @@ def test_gap_law_equals_residual_chain_law():
         assert an.cdf_T(t, p) == pytest.approx(stationary_cdf(spec, t), abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "k,n,eta",
+    [(5, 445, 0.0), (3, 465, 0.5), (2, 213, 0.75), (2, 500, 0.0), (3, 120, 0.25),
+     (4, 300, 0.75), (5, 500, 0.5), (8, 500, 0.0), (6, 400, 0.9)],
+)
+def test_gap_law_equals_residual_chain_law_narrow(k, n, eta):
+    # C7 (1e-6) at cell sizes where the first-transmission lifetime is
+    # narrow: scale sqrt((1-eta)/n) far below its shift eta, or below 0.05.
+    # Both sides are quadratures good to about 1e-13 here, so the bound
+    # keeps a wide margin under C7's.
+    p = an.AnalyticParams(k=k, n=n, eta=eta)
+    spec = ChainSpec(an.first_transmission_lifetime(p), m=k - 1)
+    m1, m2 = an.moment_T(1, p), an.moment_T(2, p)
+    grid = np.linspace(0.0, m1 + 8.0 * math.sqrt(m2 - m1 * m1), 1025)[::16]
+    worst = max(abs(an.cdf_T(float(t), p) - stationary_cdf(spec, float(t))) for t in grid)
+    assert worst <= 1e-10
+
+
 # --------------------------------------------------------------------------
 # grid estimate
 

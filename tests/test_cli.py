@@ -2,7 +2,9 @@ import csv
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import stats
 
 from tricklesim import cli, csvio
 from tricklesim.cli import (
@@ -350,3 +352,24 @@ def test_version_string_marks_modified_checkouts(monkeypatch):
     finally:
         csvio.version_string.cache_clear()
     assert "--dirty" in calls[0]
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        np.random.default_rng(1).exponential(size=500),
+        np.random.default_rng(2).exponential(size=7),
+        np.array([0.5, 0.5, 0.5, 1.0, 1.0, 2.0, 0.25]),  # ties
+        np.round(np.random.default_rng(3).exponential(size=300), 1),  # many ties
+        np.array([3.0]),
+    ],
+)
+def test_ks_statistic_equals_scipy(sample):
+    def cdf(y):
+        return 1.0 - np.exp(-np.asarray(y))
+
+    want = stats.kstest(sample, cdf).statistic
+    assert cli._ks_statistic(sample, cdf) == want
+    gaps = sample / 10
+    law = cli._analytic_cdf_callable(cli.an.AnalyticParams(k=2, n=20, eta=0.5), gaps.max())
+    assert cli._ks_statistic(gaps, law) == stats.kstest(gaps, law).statistic

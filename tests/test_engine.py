@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy import stats
 
 from _reference import reference_run
@@ -166,6 +168,36 @@ def test_window_bookkeeping():
     assert st.first_window == 4
     assert st.per_interval_counts.size == 25 - 4
     assert st.per_interval_counts.sum() <= st.total_transmissions
+
+
+@pytest.mark.parametrize("warmup", [0.5, 1.5])
+def test_window_counts_follow_window_edges(warmup):
+    # synchronized, eta = 1: the two lowest node ids transmit at each
+    # interval end.  Some of those times sit exactly on a window edge w*0.7
+    # (8.399999999999999 = 12*0.7, where floor(t / 0.7) is 11), others round
+    # just below it (0.7*12 + 0.7 = 9.099999999999998 < 13*0.7 = 9.1).
+    cfg = SimRunConfig(
+        trickle=TrickleConfig(k=2, tau_l=0.7, tau_h=0.7, eta=1.0),
+        topology=SingleCell(30),
+        duration=21.0,
+        warmup=warmup,
+        seed=61,
+        skew=Skew.SYNCHRONIZED,
+    )
+    st = run(cfg)
+    assert 8.399999999999999 in st.transmission_times.tolist()
+    assert st.per_interval_counts.size == 30 - st.first_window
+    assert np.array_equal(st.per_interval_counts, recount_windows(cfg, st.transmission_times))
+
+
+def recount_windows(cfg, times):
+    """Transmissions per whole window [w*tau_h, (w+1)*tau_h) after warmup,
+    counted one window at a time."""
+    tau = cfg.trickle.tau_h
+    w0 = math.ceil(cfg.warmup / tau)
+    windows = range(w0, math.floor(cfg.duration / tau))
+    return np.array([sum(w * tau <= t < (w + 1) * tau for t in times.tolist())
+                     for w in windows], dtype=np.int64)
 
 
 def test_per_node_counts_cover_all_nodes():
@@ -340,6 +372,32 @@ def test_chunked_grid_matches_reference(two_interval_windows, k, r, eta):
     assert_matches_reference(grid_cfg(k, r, eta))
 
 
+LONG_GRID_CASES = [(k, r, eta) for k in (1, 3) for r in (1.5, 3.0) for eta in (0.0, 0.5)]
+
+
+def long_grid(k, r, eta):
+    # 144 nodes over 20 time units: about 2900 fires, so the grid sweep
+    # crosses several of its steps
+    return SimRunConfig(
+        trickle=TrickleConfig(k=k, tau_l=1.0, tau_h=1.0, eta=eta),
+        topology=Grid(side=12, radio_range=r),
+        duration=20.0,
+        warmup=2.0,
+        seed=77,
+        record_attempts=True,
+    )
+
+
+@pytest.mark.parametrize("k,r,eta", LONG_GRID_CASES)
+def test_grid_matches_reference_long(k, r, eta):
+    assert_matches_reference(long_grid(k, r, eta))
+
+
+@pytest.mark.parametrize("k,r,eta", LONG_GRID_CASES)
+def test_chunked_grid_matches_reference_long(two_interval_windows, k, r, eta):
+    assert_matches_reference(long_grid(k, r, eta))
+
+
 @pytest.mark.parametrize(
     "cfg",
     [cell_cfg(3, 12, 1.0, duration=30.0, warmup=2.0, seed=5, skew=Skew.SYNCHRONIZED,
@@ -434,20 +492,84 @@ def test_chunked_draws_equal_node_schedule(two_interval_windows):
                               np.minimum(s + 1.0 * j + thetas, s + 1.0 * (j + 1)))
 
 
-def test_run_memory_does_not_grow_with_duration():
+@pytest.mark.parametrize(
+    "topology,short_run,long_run",
+    # the short run is one schedule chunk of 2**17 // n interval indices
+    # (262 for the cell, 327 for the grid), the long one about eight
+    [(SingleCell(500), 260.0, 2010.0), (Grid(side=20, radio_range=2.0), 320.0, 2560.0)],
+    ids=["cell", "grid"],
+)
+def test_run_memory_does_not_grow_with_duration(topology, short_run, long_run):
+    def cfg(duration):
+        return SimRunConfig(
+            trickle=TrickleConfig(k=2, tau_l=1.0, tau_h=1.0, eta=0.5),
+            topology=topology,
+            duration=duration,
+            seed=3,
+        )
+
     def peak(duration):
-        cfg = cell_cfg(2, 500, 0.5, duration=duration, seed=3)
         tracemalloc.start()
         try:
-            run(cfg)
+            run(cfg(duration))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    run(cell_cfg(2, 500, 0.5, duration=20.0, seed=3))  # import numpy's lazy parts untraced
-    short, long = peak(260.0), peak(2010.0)
+    run(cfg(20.0))  # import numpy's lazy parts untraced
     # the 8x longer run holds the same schedule chunk and 8x the transmissions
+    short, long = peak(short_run), peak(long_run)
     assert long < 2 * short
+
+
+@hs.composite
+def fuzz_configs(draw):
+    tau = draw(hs.sampled_from([1.0, 0.7, 0.75, 3.0]))
+    if draw(hs.booleans()):
+        topology = SingleCell(draw(hs.integers(1, 40)))
+        heard = topology.n - 1
+    else:
+        topology = Grid(side=draw(hs.integers(1, 6)),
+                        radio_range=draw(hs.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 10.0])),
+                        toroidal=draw(hs.booleans()))
+        heard = max(a.size for a in neighbor_table(topology))
+    # a node hears up to twice its neighbourhood in one interval
+    k = draw(hs.integers(1, 2 * heard + 2))
+    eta = draw(hs.one_of(hs.sampled_from([0.0, 1.0]), hs.floats(0.0, 1.0, exclude_max=True)))
+    warmup = tau * draw(hs.floats(0.0, 3.0))
+    cfg = SimRunConfig(
+        trickle=TrickleConfig(k=k, tau_l=tau, tau_h=tau, eta=eta),
+        topology=topology,
+        duration=warmup + tau * draw(hs.floats(0.3, 12.0)),
+        warmup=warmup,
+        seed=draw(hs.integers(0, 2**64 - 1)),
+        skew=draw(hs.sampled_from(list(Skew))),
+        record_attempts=True,
+    )
+    sizes = (draw(hs.sampled_from([1, 7, engine._SCHEDULE_FIRES])),
+             draw(hs.sampled_from([1, 3, engine._GRID_STEP])))
+    return cfg, sizes
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(fuzz_configs())
+def test_run_matches_reference_fuzz(case):
+    cfg, (schedule_fires, grid_step) = case
+    saved = engine._SCHEDULE_FIRES, engine._GRID_STEP
+    engine._SCHEDULE_FIRES, engine._GRID_STEP = schedule_fires, grid_step
+    try:
+        st = run(cfg)
+    finally:
+        engine._SCHEDULE_FIRES, engine._GRID_STEP = saved
+    att, tx_t, tx_i = reference_run(cfg)
+    m = (tx_t > cfg.warmup) & (tx_t <= cfg.duration)
+    assert np.array_equal(st.transmission_times, tx_t[m])
+    assert np.array_equal(st.transmission_nodes, tx_i[m])
+    am = (att > cfg.warmup) & (att <= cfg.duration)
+    assert np.array_equal(st.attempt_times, att[am])
+    assert st.first_window == math.ceil(cfg.warmup / cfg.trickle.tau_h)
+    assert np.array_equal(st.per_interval_counts, recount_windows(cfg, st.transmission_times))
+    assert sum(st.per_node_counts.values()) == st.total_transmissions
 
 
 def test_reference_fuzz_many_seeds():

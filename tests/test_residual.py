@@ -65,6 +65,18 @@ def test_shifted_rayleigh_basics():
         shifted_rayleigh(shift=0.0, scale=0.0)
 
 
+@pytest.mark.parametrize(
+    "shift,scale,j", [(0.0, 0.022, 11), (0.0, 0.005, 9), (0.5, 0.01, 3), (0.75, 0.02, 6)]
+)
+def test_shifted_rayleigh_moments_of_narrow_laws(shift, scale, j):
+    # E[(shift + R)^j] with E[R^i] = scale^i 2^(i/2) Gamma(1 + i/2) for a
+    # Rayleigh R; these moments lie far below quad's default absolute
+    # tolerance, so they hold only to the relative one
+    exact = sum(math.comb(j, i) * shift ** (j - i) * scale**i * 2 ** (i / 2)
+                * math.gamma(1 + i / 2) for i in range(j + 1))
+    assert shifted_rayleigh(shift, scale).moment(j) == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+
 def test_cdf_only_lifetime_fallbacks():
     # Exp(1) described only by its CDF: every derived quantity must appear
     ref = exponential(1.0)
