@@ -291,8 +291,22 @@ def _ks_statistic(sample, cdf) -> float:
 # --------------------------------------------------------------------------
 # subcommands
 
+# Gaps converted to Python floats at a time while the gaps CSV is written.
+_ROW_BLOCK = 4096
+
+
+def _gap_rows(gaps):
+    """The gaps CSV's rows, formatted one gap at a time from each
+    combination's (formatted k, n and eta cells, gaps array) pair, so no
+    per-gap object outlives its row."""
+    for cells, values in gaps:
+        for start in range(0, values.size, _ROW_BLOCK):
+            for g in values[start:start + _ROW_BLOCK].tolist():
+                yield [*cells, format(g, ".17g")]
+
+
 def cmd_simulate(spec: ExperimentSpec) -> int:
-    count_rows, gap_rows = [], []
+    count_rows, gaps = [], []
     for k in spec.k:
         for n in spec.n:
             for eta in spec.eta:
@@ -300,7 +314,7 @@ def cmd_simulate(spec: ExperimentSpec) -> int:
                 count_rows.append(
                     (k, n, eta, cell.mean, cell.std, cell.ci_halfwidth, spec.replications)
                 )
-                gap_rows.extend((k, n, eta, g) for g in cell.gaps.tolist())
+                gaps.append(([fmt_value(k), fmt_value(n), fmt_value(eta)], cell.gaps))
                 print(
                     f"simulate k={k} n={n} eta={eta:g}: "
                     f"mean {cell.mean:.5g} +- {cell.ci_halfwidth:.3g}"
@@ -312,7 +326,9 @@ def cmd_simulate(spec: ExperimentSpec) -> int:
         count_rows,
         spec.comment(),
     )
-    write_csv(out / f"{spec.name}_gaps.csv", ["k", "n", "eta", "gap"], gap_rows, spec.comment())
+    write_csv(
+        out / f"{spec.name}_gaps.csv", ["k", "n", "eta", "gap"], _gap_rows(gaps), spec.comment()
+    )
     return 0
 
 

@@ -63,5 +63,4 @@ def write_csv(
             f.write(f"# {comment}\n")
         w = csv.writer(f)
         w.writerow(header)
-        for row in rows:
-            w.writerow([fmt_value(x) for x in row])
+        w.writerows([fmt_value(x) for x in row] for row in rows)

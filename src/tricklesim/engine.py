@@ -36,10 +36,15 @@ sorted fires differs:
   against the step's earlier transmitters among their neighbors
   (`_GridSweep`); the counts carry from chunk to chunk.
 
-Determinism: node ``i``'s draws come from a stream derived from
-``(seed, i)``, so runs are bit-reproducible, changing the node count does
-not perturb the other nodes' draws, and drawing a stream in pieces yields
-the same values as drawing it at once (`node_schedule`).
+Determinism: node ``i``'s draws come from the PCG64 stream of
+``SeedSequence(seed, spawn_key=(i,))``, so runs are bit-reproducible,
+changing the node count does not perturb the other nodes' draws, and
+drawing a stream in pieces yields the same values as drawing it at once
+(`node_schedule`).  `run` derives every node's PCG64 state words in one
+vectorized pass (`_node_words`): the seed sequence's mixing of the seed
+words is shared by all nodes and done once, and only its last step, which
+folds in the node id, is array arithmetic.  `node_schedule` builds numpy's
+own `SeedSequence`, so it stays the oracle for those words.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ from enum import Enum
 from math import ceil, floor, sqrt
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import TrickleConfig
 from .topology import SingleCell, Topology, neighbor_table, num_nodes
@@ -142,11 +149,98 @@ class SimStats:
 
 def _stream(config: SimRunConfig, node_id: int):
     """Node ``node_id``'s generator and interval skew (its first draw in
-    uniform-random mode; zero, with no draw, when synchronized)."""
+    uniform-random mode; zero, with no draw, when synchronized), seeded
+    through numpy's own `SeedSequence`."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(node_id,)))
     if config.skew is Skew.UNIFORM_RANDOM:
         return rng, rng.random() * config.trickle.tau_h
     return rng, 0.0
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): a pool
+# of 4 uint32 words, hashed and mixed as below.
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(h: int, mult: int):
+    """Successive (hash constant, next constant) pairs, from ``h`` on."""
+    while True:
+        h_next = (h * mult) & _MASK32
+        yield h, h_next
+        h = h_next
+
+
+def _hash(value, h, h_next):
+    """SeedSequence's hash of ``value`` with constants ``h`` and ``h_next``
+    (Python ints, or uint32 arrays that broadcast)."""
+    value = ((value ^ h) * h_next) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word ``x`` with hashed word ``y``."""
+    value = (((_MIX_L * x) & _MASK32) - _MIX_R * y) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _node_words(seed: int, n: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)``
+    for every node id ``i < n``, as an (n, 4) array.
+
+    The entropy is the seed's uint32 words (zero-padded to the pool size)
+    followed by ``i``.  Every mixing step before ``i`` is folded in is the
+    same for all nodes and runs once on Python ints; the last step and the
+    state generation run on (n, pool) uint32 arrays.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [0] * (_POOL - len(entropy))
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(value, *next(consts)) for value in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(consts)))
+    for value in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hash(value, *next(consts)))
+    # the node id is hashed into each pool word with the next constant
+    h, h_next = np.array([next(consts) for _ in range(_POOL)], dtype=np.uint32).T
+    node = np.arange(n, dtype=np.uint32)[:, None]
+    pool = _mix(np.array(pool, dtype=np.uint32), _hash(node, h, h_next))
+    # generate_state cycles through the pool for 8 uint32 words
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    g, g_next = np.array([next(consts) for _ in range(2 * _POOL)], dtype=np.uint32).T
+    state = _hash(np.tile(pool, 2), g, g_next)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _Words(ISeedSequence):
+    """Hands a bit generator precomputed state words (a `_node_words` row):
+    the words PCG64 asks for, ``generate_state(4, np.uint64)``."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _streams(config: SimRunConfig, n: int):
+    """Every node's generator and the (n,) array of interval skews, each
+    equal to `_stream`'s for that node."""
+    rngs = [Generator(PCG64(_Words(w))) for w in _node_words(config.seed, n)]
+    if config.skew is Skew.UNIFORM_RANDOM:
+        return rngs, np.array([rng.random() for rng in rngs]) * config.trickle.tau_h
+    return rngs, np.zeros(n)
 
 
 def _thetas(trickle: TrickleConfig, u):
@@ -278,8 +372,7 @@ def _run_chunks(config: SimRunConfig, n: int, sweep):
     fires that no fire of the last chunk followed.
     """
     tau = config.trickle.tau_h
-    rngs, s = zip(*(_stream(config, i) for i in range(n)))
-    s = np.asarray(s)
+    rngs, s = _streams(config, n)
     # Starts listed by (interval index, skew rank) come out in time order,
     # up to rounding, which keeps the search for them cache-friendly.
     rank = np.argsort(s, kind="stable")

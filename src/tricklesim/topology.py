@@ -87,27 +87,38 @@ def cell_size(grid: Grid, include_self: bool = True) -> int:
 
 
 def neighbor_table(grid: Grid) -> list[np.ndarray]:
-    """Per-node arrays of neighbor ids (nodes that hear its broadcast).
+    """Per-node arrays of neighbor ids (nodes that hear its broadcast), in
+    ascending order.
 
     The sender itself is excluded: a node never hears its own
     transmission.  On the torus every node has the same neighbor count;
     without wraparound the sets shrink near the edges.
     """
     side = grid.side
-    n = side * side
-    rows, cols = np.divmod(np.arange(n), side)
     if grid.toroidal:
+        rows, cols = np.divmod(np.arange(side * side), side)
         dr, dc = _wrapped_offsets(grid)
         keep = ~((dr == 0) & (dc == 0))
         dr, dc = dr[keep], dc[keep]
         nbr = ((rows[:, None] + dr[None, :]) % side) * side + (cols[:, None] + dc[None, :]) % side
-        return [nbr[i].astype(np.intp) for i in range(n)]
-    x = rows * grid.spacing
-    y = cols * grid.spacing
+        return list(np.sort(nbr, axis=1).astype(np.intp))
+    # Candidate offsets, row-major, within one spacing beyond the range: for
+    # each node, those that stay on the grid give its candidates in
+    # ascending id order.  The range test itself compares coordinate
+    # differences, as a per-node scan of all nodes would.  One grid row at a
+    # time, so the work arrays stay O(side x candidates).
+    sp = grid.spacing
+    reach = min(side - 1, int(grid.radio_range / sp) + 1)
+    d = np.arange(-reach, reach + 1)
+    near = (d[:, None] * sp) ** 2 + (d[None, :] * sp) ** 2 <= (grid.radio_range + sp) ** 2
+    near[reach, reach] = False
+    dr, dc = (d[i] for i in np.nonzero(near))
+    cols = np.arange(side)[:, None]
     out = []
-    r2 = grid.radio_range**2
-    for i in range(n):
-        d2 = (x - x[i]) ** 2 + (y - y[i]) ** 2
-        ids = np.nonzero(d2 <= r2)[0]
-        out.append(ids[ids != i].astype(np.intp))
+    for row in range(side):
+        r, c = row + dr, cols + dc
+        d2 = (r * sp - row * sp) ** 2 + (c * sp - cols * sp) ** 2
+        keep = (r >= 0) & (r < side) & (c >= 0) & (c < side) & (d2 <= grid.radio_range**2)
+        ids = (r * side + c)[keep].astype(np.intp)
+        out += np.split(ids, np.cumsum(keep.sum(axis=1))[:-1])
     return out

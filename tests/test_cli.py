@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import subprocess
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +320,57 @@ def test_rerun_is_byte_identical(tmp_path):
     assert run_cli(*args, "--out", str(out2)) == 0
     for fname in ("d_counts.csv", "d_gaps.csv"):
         assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
+
+
+# sha256 of each CSV below its "# spec:" line, as written at commit 520f4d0
+# (before the gaps CSV was streamed): C11's simulate and multicell commands.
+PINNED_CSV = {
+    "simulate": (
+        ["--k", "1,2", "--n", "10", "--eta", "0,0.5", "--replications", "2", "--duration", "14"],
+        {
+            "det_counts.csv": "e06f014ac23df3dcf222a52e0260f3e1093faf0aa76599885b2969202d963e47",
+            "det_gaps.csv": "8113a45188090429c8cd778157c0f26e9a44aaa8139d6fafc97f61ef180319b9",
+        },
+    ),
+    "multicell": (
+        ["--k", "1", "--side", "8", "--range", "1,1.5", "--eta", "0", "--replications", "1",
+         "--duration", "14"],
+        {"det_theta.csv": "dbf4a9c5370582a9936cd4291d0088a6a1b4cad72457514e203206e4c5b347d1"},
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_CSV))
+def test_csv_bytes_match_pinned_digests(tmp_path, mode):
+    args, digests = PINNED_CSV[mode]
+    assert run_cli(mode, *args, "--seed", "7", "--name", "det", "--out", str(tmp_path)) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(digests)
+    for name, digest in digests.items():
+        data = (tmp_path / name).read_bytes()
+        assert data.startswith(b"# spec: ")
+        body = data[data.index(b"\n") + 1:]
+        assert hashlib.sha256(body).hexdigest() == digest, name
+
+
+def test_simulate_gap_memory_per_gap(tmp_path):
+    # many small runs: the pooled gaps, not one run's schedule, set the peak
+    def simulate(duration, out):
+        return run_cli("simulate", "--k", "4", "--n", "4", "--eta", "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7",
+                       "--replications", "2", "--duration", duration, "--name", "m",
+                       "--out", str(out))
+
+    assert simulate("20", tmp_path / "warm") == 0  # import numpy's lazy parts untraced
+    tracemalloc.start()
+    try:
+        assert simulate("1200", tmp_path) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(tmp_path / "m_gaps.csv") as f:
+        gaps = sum(1 for _ in f) - 2
+    assert gaps > 50_000
+    # a float64 gap is 8 B; a (k, n, eta, gap) tuple per gap took about 104 B
+    assert peak / gaps < 40
 
 
 def test_spec_file_end_to_end(tmp_path):

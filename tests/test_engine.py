@@ -65,6 +65,40 @@ def test_neighbor_table_symmetric_no_self(toroidal):
             assert i in nbrs[h]
 
 
+def brute_force_neighbors(grid):
+    """Per node, the other nodes within range, by a scan of all nodes:
+    coordinate differences on the flat grid, wrapped lattice offsets on the
+    torus."""
+    side = grid.side
+    rows, cols = np.divmod(np.arange(side * side), side)
+    x, y = rows * grid.spacing, cols * grid.spacing
+    out = []
+    for i in range(side * side):
+        if grid.toroidal:
+            dr, dc = np.abs(rows - rows[i]), np.abs(cols - cols[i])
+            d2 = ((np.minimum(dr, side - dr) * grid.spacing) ** 2
+                  + (np.minimum(dc, side - dc) * grid.spacing) ** 2)
+        else:
+            d2 = (x - x[i]) ** 2 + (y - y[i]) ** 2
+        ids = np.nonzero(d2 <= grid.radio_range**2)[0]
+        out.append(ids[ids != i])
+    return out
+
+
+@pytest.mark.parametrize("toroidal", [True, False])
+def test_neighbor_table_equals_brute_force(toroidal):
+    for side in range(1, 13):
+        # 0.1 and 0.3 put some ranges on a lattice distance up to rounding
+        for spacing in (1.0, 0.5, 0.7, 1.5, 0.1, 0.3):
+            for r in (0.5, 1.0, 1.5, 2.2, 3.0, 20.0):
+                g = Grid(side=side, radio_range=r, spacing=spacing, toroidal=toroidal)
+                table = neighbor_table(g)
+                assert len(table) == side * side
+                for got, want in zip(table, brute_force_neighbors(g)):
+                    assert got.dtype == np.intp
+                    assert np.array_equal(got, want), (side, spacing, r)
+
+
 def test_neighbor_table_torus_uniform_edge_shrinks():
     g = Grid(side=6, radio_range=1.0)
     sizes = {a.size for a in neighbor_table(g)}
@@ -228,6 +262,43 @@ def test_node_schedule_offsets_in_listen_window():
         assert 0.0 <= s < 1.0
         assert np.all(thetas >= 0.6) and np.all(thetas < 1.0)
         assert thetas.size == math.floor(200.0 - s) + 1
+
+
+# 0, the word edges of 32, 64, 96, 128 and 200-bit seeds, and replication
+# seeds: 45 seeds in all
+DERIVED_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 3, 2**127 + 11,
+                 2**128, 2**200 + 9, *replication_seeds(7, 24), *replication_seeds(2**70, 10)]
+
+
+@pytest.mark.parametrize("seed", DERIVED_SEEDS)
+def test_node_words_match_seed_sequence(seed):
+    n = 300
+    words = engine._node_words(seed, n)
+    assert words.shape == (n, 4) and words.dtype == np.uint64
+    for i in (0, 1, 255, n - 1):
+        ss = np.random.SeedSequence(seed, spawn_key=(i,))
+        assert np.array_equal(words[i], ss.generate_state(4, np.uint64))
+        rng = np.random.Generator(np.random.PCG64(engine._Words(words[i])))
+        assert rng.random() == np.random.default_rng(ss).random()
+
+
+@pytest.mark.parametrize("skew", list(Skew))
+def test_streams_match_node_schedule_streams(skew):
+    cfg = cell_cfg(2, 40, 0.3, seed=2**96 + 3, skew=skew)
+    rngs, s = engine._streams(cfg, 40)
+    for i in (0, 1, 39):
+        rng, s_i = engine._stream(cfg, i)
+        assert s[i] == s_i
+        assert np.array_equal(rngs[i].random(5), rng.random(5))
+
+
+def test_node_words_reject_negative_seed():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(-1, spawn_key=(0,))
+    with pytest.raises(ValueError):
+        engine._node_words(-1, 3)
+    with pytest.raises(ValueError):
+        run(cell_cfg(1, 3, 0.0, seed=-1))
 
 
 def test_synchronized_schedule_has_no_skew_draw():
@@ -451,13 +522,14 @@ def test_start_rounded_onto_window_bound(monkeypatch, topology):
     # A skew one ulp below tau_h makes every later start of node 0 round up
     # onto a multiple of tau_h, so node 0 starts an interval exactly at each
     # window bound, tied with its own capped fire (eta = 1) there.
-    stream = engine._stream
+    streams = engine._streams
 
-    def skew_near_tau(config, node_id):
-        rng, s = stream(config, node_id)
-        return rng, np.nextafter(config.trickle.tau_h, 0.0) if node_id == 0 else s
+    def skew_near_tau(config, n):
+        rngs, s = streams(config, n)
+        s[0] = np.nextafter(config.trickle.tau_h, 0.0)
+        return rngs, s
 
-    monkeypatch.setattr(engine, "_stream", skew_near_tau)
+    monkeypatch.setattr(engine, "_streams", skew_near_tau)
     cfg = SimRunConfig(
         trickle=TrickleConfig(k=2, tau_l=1.0, tau_h=1.0, eta=1.0),
         topology=topology,
@@ -478,8 +550,8 @@ def test_start_rounded_onto_window_bound(monkeypatch, topology):
 def test_chunked_draws_equal_node_schedule(two_interval_windows):
     n = 7
     cfg = cell_cfg(2, n, 0.4, duration=15.5, seed=23)
-    rngs, skews = zip(*(engine._stream(cfg, i) for i in range(n)))
-    chunks = list(engine._interval_chunks(cfg, rngs, np.asarray(skews)))
+    rngs, skews = engine._streams(cfg, n)
+    chunks = list(engine._interval_chunks(cfg, rngs, skews))
     assert len(chunks) == 8
     starts = np.hstack([c[2] for c in chunks])
     fires = np.hstack([c[3] for c in chunks])
