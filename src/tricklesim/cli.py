@@ -101,6 +101,8 @@ class ExperimentSpec:
             )
         if self.seed < 0:
             raise SpecError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 < self.ks_threshold <= 1.0:
+            raise SpecError(f"ks threshold must be in (0, 1], got {self.ks_threshold}")
         if self.mode in ("simulate", "analytic", "compare"):
             if not self.k or not self.n or not self.eta:
                 raise SpecError(f"mode {self.mode} needs non-empty --k, --n, --eta grids")

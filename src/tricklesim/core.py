@@ -16,6 +16,7 @@ trajectory.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import isfinite
 
 __all__ = [
     "TrickleConfig",
@@ -76,6 +77,8 @@ class TrickleConfig:
             raise ValueError(
                 f"tau_h must be >= tau_l, got tau_h={self.tau_h} < tau_l={self.tau_l}"
             )
+        if not isfinite(self.tau_h):
+            raise ValueError(f"tau_h must be finite, got {self.tau_h}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
 

@@ -12,11 +12,14 @@ the number of fires ahead of its own interval start in that order, and fire
 hears lie at positions ``[lo_p, p)``.  The fires are built in time chunks.
 A window of interval indices ``[j0, j0 + W)`` draws ``W`` offsets from
 every node's stream and emits the fires before ``B = (j0 + W)*tau_h``;
-every fire of a later interval is at or after ``B``, so the few fires at
-or past it carry over to the next window.  A chunk is laid out in (node,
-sequence) order, carried fires first, and sorted stably on time, so chunks
-split no tie and their concatenation is the whole schedule in (time, node,
-sequence) order.  ``W = max(2, _SCHEDULE_FIRES // n)``: a chunk holds about
+every fire of a later interval is at or after ``B``.  A fire of interval
+``j`` lies at or below ``s + (j+1)*tau_h``, below ``(j+2)*tau_h`` in exact
+arithmetic and at most equal to it after rounding, so only the window's
+last two columns (intervals) can reach ``B``: those two columns carry over
+to the next window.  A chunk is laid out in (node, sequence) order, the
+carried columns first, and sorted stably on time, so chunks split no tie
+and their concatenation is the whole schedule in (time, node, sequence)
+order.  ``W = max(2, _SCHEDULE_FIRES // n)``: a chunk holds about
 2**17 fires of the n nodes, so a run's memory is O(n + chunk) whatever its
 duration.  Runs of up to 2**17 fires (small cells over the usual horizons)
 are one chunk.  The constant is fixed, not a setting: results do not
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import ceil, floor, sqrt
+from math import ceil, floor, isfinite, sqrt
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -98,9 +101,10 @@ class SimRunConfig:
     record_attempts: bool = False
 
     def __post_init__(self) -> None:
-        if not self.duration > self.warmup:
+        if not self.duration > self.warmup or not isfinite(self.duration):
             raise ValueError(
-                f"duration must exceed warmup, got duration={self.duration} warmup={self.warmup}"
+                "duration must be finite and exceed warmup, "
+                f"got duration={self.duration} warmup={self.warmup}"
             )
         if self.warmup < 0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
@@ -270,13 +274,13 @@ _SCHEDULE_FIRES = 1 << 17
 
 
 def _interval_chunks(config: SimRunConfig, rngs, s: np.ndarray):
-    """Every node's intervals, in windows of consecutive interval indices.
+    """Every node's timer fires, in windows of consecutive interval indices.
 
-    Yields (bound, j, starts, fires) per window: ``j`` holds the window's
-    interval indices, ``starts`` and ``fires`` are (node, index) arrays, +inf
-    where a node has no interval ``j``.  Every event of a later window is at
-    or after ``bound`` (+inf for the last window).  Each node's offsets are
-    drawn window by window from its stream, so they equal `node_schedule`'s.
+    Yields (bound, j, fires) per window: ``j`` holds the window's interval
+    indices and ``fires`` is a (node, index) array, +inf where a node has no
+    interval ``j``.  Every fire of a later window is at or after ``bound``
+    (+inf for the last window).  Each node's offsets are drawn window by
+    window from its stream, so they equal `node_schedule`'s.
     """
     tau = config.trickle.tau_h
     n = s.size
@@ -296,37 +300,11 @@ def _interval_chunks(config: SimRunConfig, rngs, s: np.ndarray):
         # own interval.
         fires = np.minimum(starts + _thetas(config.trickle, u), s[:, None] + tau * (j + 1))
         if drawn.min() < j.size:
-            gone = j >= m[:, None]
-            starts[gone] = np.inf
-            fires[gone] = np.inf
+            fires[j >= m[:, None]] = np.inf
         bound = tau * (j0 + j.size) if j0 + j.size < end else np.inf
-        del u
-        yield bound, j, starts, fires
-        del starts, fires  # freed before the next window is drawn
-
-
-def _chunk_order(t: np.ndarray, carry_t, carry_node, bound: float, duration: float):
-    """Lay out and order one chunk: a window's fires plus those carried in.
-
-    ``t`` holds the window's fire times as a (node, interval) array;
-    carried fire ``r`` (in (node, sequence) order) is source index
-    ``t.size + r`` and goes to the head of its node's row, so the layout
-    stays in (node, sequence) order and one stable sort on time yields the
-    (time, node, sequence) order.  Returns (src_t, src_node, now, later):
-    the source times and nodes, the sorted source indices of the fires
-    before ``bound``, and those of the fires in ``[bound, duration]``,
-    which carry on, in layout order.
-    """
-    n, width = t.shape
-    src_t = np.concatenate([t.ravel(), carry_t])
-    src_node = np.concatenate([np.repeat(np.arange(n), width), carry_node])
-    ix = np.arange(t.size)
-    if carry_t.size:
-        ix = np.insert(ix, carry_node * width, np.arange(t.size, src_t.size))
-    tl = src_t[ix]
-    live = tl <= duration
-    now = ix[live & (tl < bound)]
-    return src_t, src_node, now[np.argsort(src_t[now], kind="stable")], ix[live & (tl >= bound)]
+        del u, starts
+        yield bound, j, fires
+        del fires  # freed before the next window is drawn
 
 
 def _fires_before(t, node, start, start_node, n: int) -> np.ndarray:
@@ -357,19 +335,24 @@ def _fires_before(t, node, start, start_node, n: int) -> np.ndarray:
 def _run_chunks(config: SimRunConfig, n: int, sweep):
     """Transmission times and nodes, and attempt times, of a run.
 
-    Each chunk's fires are tagged with ``lo``, the number of fires of the
-    whole run ahead of their interval start, computed in the window of
-    that start: a start before the window's bound has every fire up to its
-    time in this chunk or an earlier one.  A carried fire keeps its ``lo``
-    unless its start is itself at or past the bound, which only rounding
-    on the last ulp can bring about.
+    A chunk is laid out as the last two columns of the previous window,
+    carried over, followed by the window's own: only those two can hold a
+    fire at or past the previous bound (module docstring).  It takes the
+    fires of the layout in ``[previous bound, bound)`` and up to the
+    duration, and orders them by one stable sort on time.
 
-    ``sweep(node, lo, offset, start_node, start_lo)`` decides one chunk's
-    sorted fires, the first of which is fire ``offset`` of the run, and
-    returns the positions within the chunk of those that transmit.
-    ``start_node`` and ``start_lo`` list, in two pieces each, the interval
-    starts that the chunk reaches: the window's own and those of carried
-    fires that no fire of the last chunk followed.
+    Each fire is tagged with ``lo``, the number of fires of the whole run
+    ahead of its interval start, computed in the window of that start: a
+    start before the window's bound has every fire up to its time in this
+    chunk or an earlier one.  A carried column keeps its ``lo`` unless its
+    start is itself at or past the previous bound, which only rounding on
+    the last ulp can bring about.
+
+    ``sweep(node, lo, offset, start_lo)`` decides one chunk's sorted fires,
+    the first of which is fire ``offset`` of the run, and returns the
+    positions within the chunk of those that transmit.  ``start_lo`` holds
+    the ``lo`` of every interval start of the chunk's layout, as a (node,
+    column) array.
     """
     tau = config.trickle.tau_h
     rngs, s = _streams(config, n)
@@ -377,50 +360,40 @@ def _run_chunks(config: SimRunConfig, n: int, sweep):
     # up to rounding, which keeps the search for them cache-friendly.
     rank = np.argsort(s, kind="stable")
     s_ranked = s[rank]
-    carry_t = carry_start = np.empty(0)
-    carry_node = carry_lo = np.empty(0, dtype=np.intp)
+    # the carried columns: fire times, interval indices and lo
+    carry, carry_j, carry_lo = np.empty((n, 0)), np.empty(0), np.empty((n, 0), dtype=np.intp)
     done = 0
     prev_bound = -np.inf
     tx_t, tx_i, attempts = [], [], []
-    for bound, j, starts, fires in _interval_chunks(config, rngs, s):
-        src_t, src_node, now, later = _chunk_order(
-            fires, carry_t, carry_node, bound, config.duration
-        )
-        t, node = src_t[now], src_node[now]
-        redo = carry_start >= prev_bound
-        start_node = np.tile(rank, j.size)
+    for bound, j, fires in _interval_chunks(config, rngs, s):
+        layout = np.concatenate([carry, fires], axis=1).ravel()
+        live = (layout >= prev_bound) & (layout < bound) & (layout <= config.duration)
+        now = np.flatnonzero(live)
+        now = now[np.argsort(layout[now], kind="stable")]
+        t, node = layout[now], now // (carry_j.size + j.size)
+        start = s[:, None] + tau * carry_j  # the carried columns' starts
+        redo = start >= prev_bound
         lo = done + _fires_before(
             t,
             node,
-            np.concatenate([(s_ranked + (tau * j)[:, None]).ravel(), carry_start[redo]]),
-            np.concatenate([start_node, carry_node[redo]]),
+            np.concatenate([(s_ranked + (tau * j)[:, None]).ravel(), start[redo]]),
+            np.concatenate([np.tile(rank, j.size), np.nonzero(redo)[0]]),
             n,
         )
-        start_lo = lo[: fires.size]
         carry_lo[redo] = lo[fires.size:]
-        lo_new = np.empty((n, j.size), dtype=np.intp)
-        lo_new[rank] = start_lo.reshape(j.size, n).T
-        src_lo = np.concatenate([lo_new.ravel(), carry_lo])
-        reached = carry_lo >= done
-        tx = sweep(
-            node,
-            src_lo[now],
-            done,
-            [start_node, carry_node[reached]],
-            [start_lo, carry_lo[reached]],
-        )
+        own_lo = np.empty((n, j.size), dtype=np.intp)
+        own_lo[rank] = lo[: fires.size].reshape(j.size, n).T
+        lo = np.concatenate([carry_lo, own_lo], axis=1)
+        tx = sweep(node, lo.ravel()[now], done, lo)
         tx_t.append(t[tx])
         tx_i.append(node[tx])
         if config.record_attempts:
             attempts.append(t[t > config.warmup])
-        src_start = np.concatenate([starts.ravel(), carry_start])
-        carry_t, carry_node = src_t[later], src_node[later]
-        carry_start, carry_lo = src_start[later], src_lo[later]
+        carry, carry_j, carry_lo = fires[:, -2:].copy(), j[-2:], lo[:, -2:].copy()
         done += t.size
         prev_bound = bound
         # drop this chunk's arrays before the next one is built
-        del src_t, src_node, now, t, node, lo, start_node, start_lo, lo_new, src_lo, src_start
-        del starts, fires
+        del layout, now, t, node, lo, own_lo, fires
     return _joined(tx_t, np.float64), _joined(tx_i, np.intp), _joined(attempts, np.float64)
 
 
@@ -510,7 +483,9 @@ class _GridSweep:
       ``lo`` that the node hears; then ``heard`` takes the step's
       transmissions.
 
-    ``heard`` and ``base`` carry from chunk to chunk.
+    ``heard`` and ``base`` carry from chunk to chunk.  A chunk's starts
+    come as a (node, column) array of their ``lo``; a start is taken in the
+    step its ``lo`` falls in, so one listed in two chunks is taken once.
     """
 
     def __init__(self, grid, n: int, k: int):
@@ -526,12 +501,11 @@ class _GridSweep:
         self.flag = np.zeros(n + 1, dtype=bool)
         self.index = np.zeros(n + 1, dtype=np.intp)
 
-    def __call__(self, node, lo, offset: int, start_node, start_lo) -> np.ndarray:
+    def __call__(self, node, lo, offset: int, start_lo) -> np.ndarray:
         k, nbr, heard, base = self.k, self.nbr, self.heard, self.base
         marks = self.flag, self.index
-        start_node, start_lo = np.concatenate(start_node), np.concatenate(start_lo)
-        by_lo = np.argsort(start_lo, kind="stable")
-        start_node, start_lo = start_node[by_lo], start_lo[by_lo] - offset
+        by_lo = np.argsort(start_lo, axis=None, kind="stable")
+        start_node, start_lo = by_lo // start_lo.shape[1], start_lo.ravel()[by_lo] - offset
         steps = np.append(np.arange(0, node.size, _GRID_STEP), node.size)
         cuts = np.searchsorted(start_lo, steps).tolist()
         steps = steps.tolist()
@@ -595,7 +569,7 @@ def run(config: SimRunConfig) -> SimStats:
     if isinstance(config.topology, SingleCell):
         recent: list[int] = []
 
-        def sweep(node, lo, offset, start_node, start_lo):
+        def sweep(node, lo, offset, start_lo):
             return _sweep_single_cell(lo, k, offset, recent)
     else:
         sweep = _GridSweep(config.topology, n, k)

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import math
 import subprocess
 import tracemalloc
 from pathlib import Path
@@ -128,6 +129,9 @@ def test_spec_validation_errors():
         build_spec("simulate", _Args(k="1", n="10", replications=0))
     with pytest.raises(SpecError):
         build_spec("compare", _Args(k="1", n="10", eta="0,1"))  # no gap density at eta=1
+    for threshold in (math.nan, -1.0, 0.0, 1.5, math.inf):
+        with pytest.raises(SpecError, match="ks threshold"):
+            build_spec("compare", _Args(k="1", n="10", ks_threshold=threshold))
 
 
 def test_comment_is_deterministic():
@@ -256,6 +260,9 @@ def test_exit_code_2_on_config_error(tmp_path):
     assert run_cli("simulate", "--k", "1", "--n", "10", "--duration", "inf",
                    "--out", str(tmp_path)) == 2
     assert run_cli("simulate", "--k", "1e400", "--n", "10", "--out", str(tmp_path)) == 2
+    for threshold in ("nan", "-1", "0", "inf"):
+        assert run_cli("compare", "--k", "1", "--n", "10", "--ks-threshold", threshold,
+                       "--out", str(tmp_path)) == 2
     bad = tmp_path / "bad.spec"
     bad.write_text("duration = soon\n")
     assert run_cli("simulate", "--k", "1", "--n", "10", "--spec", str(bad)) == 2

@@ -27,6 +27,9 @@ def test_config_validation():
         TrickleConfig(k=1, tau_l=1.0, tau_h=1.0, eta=1.5)
     with pytest.raises(ValueError):
         TrickleConfig(k=1, tau_l=1.0, tau_h=1.0, eta=-0.1)
+    for tau_l, tau_h in ((1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            TrickleConfig(k=1, tau_l=tau_l, tau_h=tau_h)
 
 
 @pytest.mark.parametrize(

@@ -124,6 +124,10 @@ def test_run_config_validation():
         cell_cfg(1, 5, 0.0, warmup=-1.0)
     with pytest.raises(ValueError):
         cell_cfg(1, 5, 0.0, seed="abc")
+    for duration, warmup in ((math.inf, 10.0), (math.nan, 10.0), (60.0, math.nan),
+                             (math.inf, math.inf)):
+        with pytest.raises(ValueError):
+            cell_cfg(1, 5, 0.0, duration=duration, warmup=warmup)
 
 
 def test_bit_identical_reruns():
@@ -553,15 +557,45 @@ def test_chunked_draws_equal_node_schedule(two_interval_windows):
     rngs, skews = engine._streams(cfg, n)
     chunks = list(engine._interval_chunks(cfg, rngs, skews))
     assert len(chunks) == 8
-    starts = np.hstack([c[2] for c in chunks])
-    fires = np.hstack([c[3] for c in chunks])
+    fires = np.hstack([c[2] for c in chunks])
     for i in range(n):
         s, thetas = node_schedule(cfg, i)
         j = np.arange(thetas.size)
         assert skews[i] == s
-        assert np.array_equal(starts[i][np.isfinite(starts[i])], s + 1.0 * j)
         assert np.array_equal(fires[i][np.isfinite(fires[i])],
                               np.minimum(s + 1.0 * j + thetas, s + 1.0 * (j + 1)))
+
+
+def test_only_last_two_columns_reach_window_bound(monkeypatch):
+    # A fire of interval j lies at or below s + (j+1)*tau_h < (j+2)*tau_h,
+    # and rounding brings it up to that value at most, so the chunk loop
+    # carries only a window's last two columns into the next window.
+    n = 7
+    second_last_reached = 0
+    for width in (2, 5):
+        monkeypatch.setattr(engine, "_SCHEDULE_FIRES", width * n)
+        for tau in (1.0, 0.7, 0.1):
+            for eta in (0.0, 0.4, 1.0):
+                for skew in ("near_tau", *Skew):
+                    cfg = SimRunConfig(
+                        trickle=TrickleConfig(k=1, tau_l=tau, tau_h=tau, eta=eta),
+                        topology=SingleCell(n),
+                        duration=60 * tau,
+                        warmup=0.0,
+                        seed=5,
+                        skew=Skew.UNIFORM_RANDOM if skew == "near_tau" else skew,
+                    )
+                    rngs, s = engine._streams(cfg, n)
+                    if skew == "near_tau":
+                        s[:] = np.nextafter(tau, 0.0)
+                    for bound, j, fires in engine._interval_chunks(cfg, rngs, s):
+                        assert fires.shape[1] == j.size
+                        if np.isfinite(bound):
+                            assert j.size == width
+                            assert np.all(fires[:, :-2] < bound)
+                            if skew == "near_tau" and eta == 1.0:
+                                second_last_reached += int(np.sum(fires[:, -2] >= bound))
+    assert second_last_reached > 0
 
 
 @pytest.mark.parametrize(

@@ -236,7 +236,8 @@ def test_sample_chain_matches_stationary_law():
 
 def test_sample_chain_uniform_m2():
     spec = ChainSpec(uniform(0.0, 1.0), 2)
-    draws = sample_chain(spec, steps=21_000, burn_in=1000, seed=12)
+    with pytest.warns(UserWarning, match="redrawn"):
+        draws = sample_chain(spec, steps=21_000, burn_in=1000, seed=12)
     grid = np.linspace(0.0, 1.0, 201)
     vals = np.array([stationary_cdf(spec, float(y)) for y in grid])
     assert kstest(draws, lambda y: np.interp(y, grid, vals)).statistic < 0.03
