@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 from scipy.special import erfc, gammaln
@@ -65,10 +66,10 @@ class AnalyticParams:
     eta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        if not isinstance(self.k, Integral) or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        if not isinstance(self.n, Integral) or self.n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
 
@@ -83,14 +84,14 @@ class GridParams:
     k: int
 
     def __post_init__(self) -> None:
-        if self.side < 1:
-            raise ValueError(f"side must be >= 1, got {self.side}")
+        if not isinstance(self.side, Integral) or self.side < 1:
+            raise ValueError(f"side must be an integer >= 1, got {self.side!r}")
         if not self.radio_range > 0:
             raise ValueError(f"radio range must be positive, got {self.radio_range}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        if not isinstance(self.k, Integral) or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
 
 
 def _gamma_ratio(a: float, b: float) -> float:

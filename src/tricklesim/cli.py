@@ -22,9 +22,10 @@ markov-validate
 
 Configuration is flags-first; ``--spec FILE`` points at a flat key/value
 file (one ``key = value`` per line, ``#`` comments, lists comma-separated)
-whose entries override flags.  Profiles bundle replication counts:
-``--profile quick`` is the CI size (50 x 100 units), ``--profile paper``
-the full size (1000 x 100 units).
+whose entries override flags.  Each setting is one row of `_SETTINGS`: its
+flag, its spec-file key and the text parser that both go through.
+Profiles bundle replication counts: ``--profile quick`` is the CI size
+(50 x 100 units), ``--profile paper`` the full size (1000 x 100 units).
 
 Exit codes: 0 success; 1 a validation threshold was exceeded; 2
 configuration error (bad flags or spec file, rejected before any work is
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -134,43 +136,61 @@ class ExperimentSpec:
                 raise SpecError(f"range must be positive, got {r}")
 
     def comment(self) -> str:
-        """Deterministic one-line record of the full spec for CSV headers."""
-        parts = [
-            f"mode={self.mode}",
-            f"name={self.name}",
-            "k=" + ",".join(str(v) for v in self.k),
-            "n=" + ",".join(str(v) for v in self.n),
-            f"side={self.side}",
-            "range=" + ",".join(f"{v:g}" for v in self.radio_range),
-            "eta=" + ",".join(f"{v:g}" for v in self.eta),
-            f"replications={self.replications}",
-            f"duration={self.duration:g}",
-            f"warmup={self.warmup:g}",
-            f"seed={self.seed}",
-            f"bins={self.histogram_bins}",
-            f"ks_threshold={self.ks_threshold:g}",
+        """Deterministic one-line record of every setting but the output
+        directory, for CSV headers."""
+        parts = [f"mode={self.mode}"] + [
+            f"{key}={_text(getattr(self, attr))}" for key, attr, *_ in _SETTINGS if key != "out"
         ]
         return "spec: " + " ".join(parts) + f" | {version_string()}"
 
 
-def _parse_list(text: str, conv, what: str) -> list:
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+def _int(text: str) -> int:
+    """An integer, written as one or as an integral float such as ``1e3``;
+    a value that is not text must be an integer already."""
+    if not isinstance(text, str):
         try:
-            out.append(conv(piece))
-        except ValueError as exc:
-            raise SpecError(f"bad {what} value {piece!r}") from exc
-    return out
+            return operator.index(text)
+        except TypeError as exc:
+            raise ValueError(f"not an integer: {text!r}") from exc
+    try:
+        return int(text)
+    except ValueError:
+        f = float(text)
+        if not f.is_integer():
+            raise
+        return int(f)
 
 
-def _parse_int(text: str) -> int:
-    f = float(text)
-    if not f.is_integer():
-        raise ValueError(text)
-    return int(f)
+def _list(conv):
+    """Parser of a comma-separated list of `conv` values."""
+    return lambda text: [conv(piece) for piece in text.split(",") if piece.strip()]
+
+
+def _text(value) -> str:
+    """A setting's value as `comment` writes it."""
+    if isinstance(value, list):
+        return ",".join(_text(v) for v in value)
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
+# Every setting, in `comment` order: (flag name and spec-file key, its
+# ExperimentSpec field, the parser of its text, help).  The defaults are the
+# fields' own; flags and spec-file entries go through the same parser.
+_SETTINGS = (
+    ("name", "name", str, "output file prefix (default: the mode)"),
+    ("k", "k", _list(_int), "comma-separated redundancy constants"),
+    ("n", "n", _list(_int), "comma-separated single-cell node counts"),
+    ("side", "side", _int, "grid side length (multicell)"),
+    ("range", "radio_range", _list(float), "comma-separated radio ranges (multicell)"),
+    ("eta", "eta", _list(float), "comma-separated listen-only fractions"),
+    ("replications", "replications", _int, "replications per combination"),
+    ("duration", "duration", float, "virtual time units per run"),
+    ("warmup", "warmup", float, "initial span excluded from statistics"),
+    ("seed", "seed", _int, "master seed"),
+    ("bins", "histogram_bins", _int, "histogram/curve grid bins"),
+    ("ks_threshold", "ks_threshold", float, "KS pass/fail threshold for compare"),
+    ("out", "output_dir", Path, "output directory"),
+)
 
 
 def load_spec_file(path) -> dict[str, str]:
@@ -192,58 +212,26 @@ def load_spec_file(path) -> dict[str, str]:
     return entries
 
 
-_SPEC_KEYS = {
-    "name", "k", "n", "side", "range", "eta", "replications", "duration",
-    "warmup", "seed", "bins", "out", "profile", "ks_threshold",
-}
-
-
 def build_spec(mode: str, args: argparse.Namespace) -> ExperimentSpec:
     """Resolve precedence: built-in defaults < profile < flags < spec file."""
-    overrides = load_spec_file(args.spec) if args.spec else {}
-    unknown = set(overrides) - _SPEC_KEYS
+    entries = load_spec_file(args.spec) if args.spec else {}
+    unknown = set(entries) - {key for key, *_ in _SETTINGS} - {"profile"}
     if unknown:
         raise SpecError(f"unknown spec file keys: {sorted(unknown)}")
-
-    def pick(key: str, flag_value):
-        return overrides.get(key, flag_value)
-
-    profile = pick("profile", args.profile)
+    profile = entries.get("profile", args.profile)
     if profile is not None and profile not in PROFILES:
         raise SpecError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
-    prof_reps, prof_dur = PROFILES[profile] if profile else (None, None)
-
-    def resolved(key: str, flag_value, default, conv):
-        v = overrides.get(key)
-        if v is not None:
+    fields = {"name": mode}
+    if profile:
+        fields["replications"], fields["duration"] = PROFILES[profile]
+    for key, attr, parse, _ in _SETTINGS:
+        text = entries.get(key, getattr(args, key))
+        if text is not None:
             try:
-                return conv(v)
+                fields[attr] = parse(text)
             except ValueError as exc:
-                raise SpecError(f"bad {key} value {v!r} in spec file") from exc
-        if flag_value is not None:
-            return flag_value if not isinstance(flag_value, str) else conv(flag_value)
-        return default
-
-    spec = ExperimentSpec(
-        name=resolved("name", args.name, mode, str),
-        mode=mode,
-        k=resolved("k", args.k, [], lambda s: _parse_list(s, _parse_int, "k")),
-        n=resolved("n", args.n, [], lambda s: _parse_list(s, _parse_int, "n")),
-        side=resolved("side", args.side, 50, _parse_int),
-        radio_range=resolved(
-            "range", args.range, [], lambda s: _parse_list(s, float, "range")
-        ),
-        eta=resolved("eta", args.eta, [0.0], lambda s: _parse_list(s, float, "eta")),
-        replications=resolved(
-            "replications", args.replications, prof_reps if prof_reps else 1000, _parse_int
-        ),
-        duration=resolved("duration", args.duration, prof_dur if prof_dur else 100.0, float),
-        warmup=resolved("warmup", args.warmup, 10.0, float),
-        seed=resolved("seed", args.seed, 1, _parse_int),
-        output_dir=Path(resolved("out", args.out, ".", str)),
-        histogram_bins=resolved("bins", args.bins, 60, _parse_int),
-        ks_threshold=resolved("ks_threshold", args.ks_threshold, 0.05, float),
-    )
+                raise SpecError(f"bad {key} value {text!r}") from exc
+    spec = ExperimentSpec(mode=mode, **fields)
     spec.validate()
     return spec
 
@@ -251,10 +239,11 @@ def build_spec(mode: str, args: argparse.Namespace) -> ExperimentSpec:
 # --------------------------------------------------------------------------
 # shared pieces
 
-def _cell_config(spec: ExperimentSpec, k: int, n: int, eta: float) -> SimRunConfig:
+def _run_config(spec: ExperimentSpec, topology, k: int, eta: float) -> SimRunConfig:
+    """A run of `topology` at (k, eta) with unit intervals over the spec's span."""
     return SimRunConfig(
         trickle=TrickleConfig(k=k, tau_l=1.0, tau_h=1.0, eta=eta),
-        topology=SingleCell(n),
+        topology=topology,
         duration=spec.duration,
         warmup=spec.warmup,
         seed=spec.seed,
@@ -312,7 +301,7 @@ def cmd_simulate(spec: ExperimentSpec) -> int:
     for k in spec.k:
         for n in spec.n:
             for eta in spec.eta:
-                cell = replicate(_cell_config(spec, k, n, eta), spec.replications)
+                cell = replicate(_run_config(spec, SingleCell(n), k, eta), spec.replications)
                 count_rows.append(
                     (k, n, eta, cell.mean, cell.std, cell.ci_halfwidth, spec.replications)
                 )
@@ -369,7 +358,7 @@ def cmd_compare(spec: ExperimentSpec) -> int:
     for k in spec.k:
         for n in spec.n:
             for eta in spec.eta:
-                gaps = replicate(_cell_config(spec, k, n, eta), spec.replications).gaps
+                gaps = replicate(_run_config(spec, SingleCell(n), k, eta), spec.replications).gaps
                 p = an.AnalyticParams(k=k, n=n, eta=eta)
                 if gaps.size == 0:
                     raise SpecError(
@@ -416,14 +405,7 @@ def cmd_multicell(spec: ExperimentSpec) -> int:
             for eta in spec.eta:
                 grid = Grid(side=spec.side, radio_range=r)
                 s_cell = cell_size(grid)
-                cfg = SimRunConfig(
-                    trickle=TrickleConfig(k=k, tau_l=1.0, tau_h=1.0, eta=eta),
-                    topology=grid,
-                    duration=spec.duration,
-                    warmup=spec.warmup,
-                    seed=spec.seed,
-                )
-                mean_sim = replicate(cfg, spec.replications).mean
+                mean_sim = replicate(_run_config(spec, grid, k, eta), spec.replications).mean
                 if mean_sim == 0:
                     raise SpecError(
                         f"no transmissions measured for k={k} R={r:g} eta={eta:g}; "
@@ -514,22 +496,10 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode in MODES:
         sp = sub.add_parser(mode, help=f"{mode} mode")
-        sp.add_argument("--k", help="comma-separated redundancy constants")
-        sp.add_argument("--n", help="comma-separated single-cell node counts")
-        sp.add_argument("--side", type=int, help="grid side length (multicell)")
-        sp.add_argument("--range", help="comma-separated radio ranges (multicell)")
-        sp.add_argument("--eta", help="comma-separated listen-only fractions")
-        sp.add_argument("--replications", type=int, help="replications per combination")
-        sp.add_argument("--duration", type=float, help="virtual time units per run")
-        sp.add_argument("--warmup", type=float, help="initial span excluded from statistics")
-        sp.add_argument("--seed", type=int, help="master seed")
-        sp.add_argument("--bins", type=int, help="histogram/curve grid bins")
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--name", help="output file prefix (default: the mode)")
+        for key, _, _, text in _SETTINGS:
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
         sp.add_argument("--spec", help="key=value spec file; overrides flags")
         sp.add_argument("--profile", choices=sorted(PROFILES), help="size preset")
-        sp.add_argument("--ks-threshold", dest="ks_threshold", type=float,
-                        help="KS pass/fail threshold for compare")
     return parser
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import isfinite
+from numbers import Integral
 
 __all__ = [
     "TrickleConfig",
@@ -69,8 +70,8 @@ class TrickleConfig:
     eta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
+        if not isinstance(self.k, Integral) or self.k < 1:
+            raise ValueError(f"k must be a positive integer, got {self.k!r}")
         if not self.tau_l > 0:
             raise ValueError(f"tau_l must be positive, got {self.tau_l}")
         if not self.tau_h >= self.tau_l:

@@ -9,6 +9,7 @@ around both axes (a torus), which removes edge effects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -22,8 +23,8 @@ class SingleCell:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"node count must be >= 1, got {self.n}")
+        if not isinstance(self.n, Integral) or self.n < 1:
+            raise ValueError(f"node count must be an integer >= 1, got {self.n!r}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,8 @@ class Grid:
     toroidal: bool = True
 
     def __post_init__(self) -> None:
-        if self.side < 1:
-            raise ValueError(f"grid side must be >= 1, got {self.side}")
+        if not isinstance(self.side, Integral) or self.side < 1:
+            raise ValueError(f"grid side must be an integer >= 1, got {self.side!r}")
         if not self.radio_range > 0:
             raise ValueError(f"radio range must be positive, got {self.radio_range}")
         if not self.spacing > 0:

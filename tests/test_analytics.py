@@ -16,11 +16,13 @@ P50_H = an.AnalyticParams(k=1, n=50, eta=0.5)
 
 
 def test_params_validation():
-    for bad in (dict(k=0, n=5), dict(k=1, n=0), dict(k=1, n=5, eta=1.0001)):
+    for bad in (dict(k=0, n=5), dict(k=1, n=0), dict(k=1, n=5, eta=1.0001),
+                dict(k=1, n=10.5), dict(k=2.0, n=5)):
         with pytest.raises(ValueError):
             an.AnalyticParams(**bad)
-    with pytest.raises(ValueError):
-        an.GridParams(side=0, radio_range=1.0, eta=0.0, k=1)
+    for side, k in ((0, 1), (2.5, 1), (5, 1.5)):
+        with pytest.raises(ValueError):
+            an.GridParams(side=side, radio_range=1.0, eta=0.0, k=k)
     with pytest.raises(ValueError):
         an.GridParams(side=5, radio_range=0.0, eta=0.0, k=1)
 

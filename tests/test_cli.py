@@ -1,8 +1,11 @@
 import csv
 import hashlib
 import math
+import os
 import subprocess
+import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -93,16 +96,47 @@ def test_build_spec_profiles():
         build_spec("simulate", _Args(k="1", n="10", profile="huge"))
 
 
-def test_spec_file_overrides_flags(tmp_path):
+# key: (flag text, spec-file text, the ExperimentSpec field and its value from the file)
+OVERRIDES = {
+    "name": ("fromflag", "fromfile", "name", "fromfile"),
+    "k": ("1,2", "3", "k", [3]),
+    "n": ("10", "12, 14", "n", [12, 14]),
+    "side": ("4", "6", "side", 6),
+    "range": ("1", "2.5,3", "radio_range", [2.5, 3.0]),
+    "eta": ("0", "0.5", "eta", [0.5]),
+    "replications": ("4", "9", "replications", 9),
+    "duration": ("50", "60.5", "duration", 60.5),
+    "warmup": ("5", "7.5", "warmup", 7.5),
+    "seed": ("3", "1e3", "seed", 1000),
+    "bins": ("10", "20", "histogram_bins", 20),
+    "ks_threshold": ("0.1", "0.2", "ks_threshold", 0.2),
+    "out": ("flagdir", "filedir", "output_dir", Path("filedir")),
+}
+
+
+def test_overrides_cover_every_setting():
+    assert sorted(OVERRIDES) == sorted(key for key, *_ in cli._SETTINGS)
+
+
+@pytest.mark.parametrize("key", sorted(OVERRIDES))
+def test_spec_file_overrides_flags(tmp_path, key):
+    flag, text, attr, want = OVERRIDES[key]
     f = tmp_path / "o.spec"
-    f.write_text("k = 3\nreplications = 9\nname = fromfile\n")
-    spec = build_spec(
-        "simulate", _Args(k="1,2", n="10", replications=4, spec=str(f), name="fromflag")
-    )
-    assert spec.k == [3]
-    assert spec.replications == 9
-    assert spec.name == "fromfile"
-    assert spec.n == [10]  # untouched by the file
+    f.write_text(f"{key} = {text}\n")
+    base = dict(k="1", n="10", range="1")
+    flagged = build_spec("multicell", _Args(**{**base, key: flag}))
+    spec = build_spec("multicell", _Args(**{**base, key: flag, "spec": str(f)}))
+    assert getattr(flagged, attr) != want and getattr(spec, attr) == want
+    assert replace(spec, **{attr: getattr(flagged, attr)}) == flagged  # nothing else moved
+
+
+def test_flags_parse_as_spec_values(tmp_path, capsys):
+    assert build_spec("simulate", _Args(k="1", n="10", seed="1e3")).seed == 1000
+    big = str(2**64 - 1)  # integers are read exactly, not through a float
+    assert build_spec("simulate", _Args(k="1", n="10", seed=big)).seed == 2**64 - 1
+    assert run_cli("multicell", "--k", "1", "--range", "1", "--side", "2.5",
+                   "--out", str(tmp_path)) == 2
+    assert "configuration error: bad side value" in capsys.readouterr().err
 
 
 def test_spec_unknown_key(tmp_path):
@@ -127,6 +161,9 @@ def test_spec_validation_errors():
         build_spec("multicell", _Args(k="1", eta="0"))  # range grid missing
     with pytest.raises(SpecError):
         build_spec("simulate", _Args(k="1", n="10", replications=0))
+    for value in (7.5, 7.0, "7.5"):
+        with pytest.raises(SpecError, match="bad replications value"):
+            build_spec("simulate", _Args(k="1", n="10", replications=value))
     with pytest.raises(SpecError):
         build_spec("compare", _Args(k="1", n="10", eta="0,1"))  # no gap density at eta=1
     for threshold in (math.nan, -1.0, 0.0, 1.5, math.inf):
@@ -134,11 +171,24 @@ def test_spec_validation_errors():
             build_spec("compare", _Args(k="1", n="10", ks_threshold=threshold))
 
 
-def test_comment_is_deterministic():
+def test_comment_is_deterministic(tmp_path):
     a = ExperimentSpec(name="x", mode="analytic", k=[1], n=[5], eta=[0.0])
     b = ExperimentSpec(name="x", mode="analytic", k=[1], n=[5], eta=[0.0])
     assert a.comment() == b.comment()
     assert a.comment().startswith("spec: mode=analytic name=x")
+    out = tmp_path / "outdir"
+    spec = build_spec("multicell", _Args(
+        name="every", k="1,2", n="5,10", side="8", range="1.5,2", eta="0,0.25",
+        replications="3", duration="42.5", warmup="2.5", seed="7", bins="12",
+        ks_threshold="0.01", out=str(out),
+    ))
+    line, version = spec.comment().split(" | ")
+    assert line == (
+        "spec: mode=multicell name=every k=1,2 n=5,10 side=8 range=1.5,2 eta=0,0.25 "
+        "replications=3 duration=42.5 warmup=2.5 seed=7 bins=12 ks_threshold=0.01"
+    )
+    assert version == csvio.version_string()
+    assert "outdir" not in spec.comment()
 
 
 # --------------------------------------------------------------------------
@@ -393,6 +443,20 @@ def test_spec_file_end_to_end(tmp_path):
     assert (tmp_path / "o" / "filed_counts.csv").exists()
     _, _, rows = read_csv(tmp_path / "o" / "filed_counts.csv")
     assert rows[0][0] == "2" and rows[0][1] == "8"
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_module_help_lists_every_flag(mode):
+    src = Path(cli.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "tricklesim.cli", mode, "--help"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    flags = ["--" + key.replace("_", "-") for key, *_ in cli._SETTINGS]
+    for flag in flags + ["--spec", "--profile"]:
+        assert f"{flag} " in done.stdout, flag
 
 
 # --------------------------------------------------------------------------

@@ -17,8 +17,9 @@ CFG = TrickleConfig(k=1, tau_l=1.0, tau_h=1.0)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrickleConfig(k=0, tau_l=1.0, tau_h=1.0)
+    for k in (0, 1.5, 2.0):  # a non-integer count ran on a grid, crashed on a cell
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            TrickleConfig(k=k, tau_l=1.0, tau_h=1.0)
     with pytest.raises(ValueError):
         TrickleConfig(k=1, tau_l=0.0, tau_h=1.0)
     with pytest.raises(ValueError):

@@ -124,6 +124,10 @@ def test_run_config_validation():
         cell_cfg(1, 5, 0.0, warmup=-1.0)
     with pytest.raises(ValueError):
         cell_cfg(1, 5, 0.0, seed="abc")
+    for make in (lambda: SingleCell(0), lambda: SingleCell(2.5), lambda: Grid(2.5, 1.0),
+                 lambda: cell_cfg(1.5, 5, 0.0)):
+        with pytest.raises(ValueError, match="integer"):
+            make()
     for duration, warmup in ((math.inf, 10.0), (math.nan, 10.0), (60.0, math.nan),
                              (math.inf, math.inf)):
         with pytest.raises(ValueError):
