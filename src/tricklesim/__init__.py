@@ -2,7 +2,7 @@
 
 Subpackage map:
 
-* :mod:`tricklesim.core` -- the pure per-node state machine;
+* :mod:`tricklesim.core` -- the protocol parameters;
 * :mod:`tricklesim.topology` -- single-cell and square-grid networks;
 * :mod:`tricklesim.engine` -- seeded discrete-event simulation and replication;
 * :mod:`tricklesim.residual` -- residual-lifetime Markov chains for an

@@ -17,6 +17,7 @@ parameter triple.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from numbers import Integral
@@ -221,6 +222,10 @@ def _norm_const_cached(k: int, n: int, eta: float) -> float:
             f"normalization forms disagree at k={k}, n={n}, eta={eta}: "
             f"{inv_sum!r} (sum) vs {inv_quad!r} (quadrature)"
         )
+    if not inv_sum > 1.0 / sys.float_info.max:
+        raise ArithmeticError(
+            f"normalization constant overflows a float at k={k}, n={n}, eta={eta}"
+        )
     return 1.0 / inv_sum
 
 
@@ -229,9 +234,9 @@ def norm_const(p: AnalyticParams) -> float:
 
     Evaluated both as a finite sum (binomial expansion against half-integer
     gamma values) and by direct quadrature; the two must agree to 1e-10
-    relative or an ArithmeticError is raised.  k = 1 gives exactly 1, and
-    its reciprocal laddering yields every gap moment: ``E[T^j] = j! C_k /
-    C_{k+j}``.
+    relative, and the constant must be a finite float, or an ArithmeticError
+    is raised.  k = 1 gives exactly 1, and its reciprocal laddering yields
+    every gap moment: ``E[T^j] = j! C_k / C_{k+j}``.
     """
     return _norm_const_cached(p.k, p.n, p.eta)
 
@@ -299,8 +304,9 @@ def pdf_T(t: float, p: AnalyticParams) -> float:
         w = s + t - eta
         return w * s ** (k - 2) * math.exp(-0.5 * rate * w * w)
 
+    # epsabs bounds the density's error, not the integral's: c is ~1e19 at k=16, n=2000.
     c = norm_const(p) / math.factorial(k - 2)
-    return c * rate * quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-10, limit=300)
+    return c * rate * quad(integrand, lo, hi, epsabs=1e-12 / (c * rate), epsrel=1e-10, limit=300)
 
 
 def cdf_T(t: float, p: AnalyticParams) -> float:
@@ -317,12 +323,14 @@ def cdf_T(t: float, p: AnalyticParams) -> float:
     rate = n / (1.0 - eta)
     lo = max(0.0, eta - t)
 
+    c = norm_const(p) / math.factorial(k - 2)
     # Exact polynomial piece where the survival is identically 1.
     tail = lo ** (k - 1) / (k - 1)
     kernel = lambda s: s ** (k - 2) * math.exp(-0.5 * rate * (s + t - eta) ** 2)
-    tail += quad(kernel, lo, lo + _trunc_upper(k, sigma), epsabs=1e-13, epsrel=1e-10, limit=300)
-    val = 1.0 - norm_const(p) / math.factorial(k - 2) * tail
-    return min(1.0, max(0.0, val))
+    # epsabs bounds the CDF's error, not the integral's (see pdf_T).
+    hi = lo + _trunc_upper(k, sigma)
+    tail += quad(kernel, lo, hi, epsabs=1e-12 / c, epsrel=1e-10, limit=300)
+    return min(1.0, max(0.0, 1.0 - c * tail))
 
 
 def moment_T(j: int, p: AnalyticParams) -> float:

@@ -55,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from math import ceil, floor, isfinite, sqrt
+from numbers import Integral
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -108,7 +109,7 @@ class SimRunConfig:
             )
         if self.warmup < 0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
-        if not isinstance(self.seed, (int, np.integer)):
+        if not isinstance(self.seed, Integral):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 

@@ -1,11 +1,17 @@
 """Independent reference simulator for equivalence tests.
 
-A heapq event loop drives the pure per-node operations one event at a
-time, with explicit per-node heard-message counters.  It consumes each
-node's random stream in the same order as the production engine (skew
-first in uniform mode, then one broadcast offset per interval) and builds
-event times with the same float arithmetic, so the two must agree
-bit-for-bit on every transmission, whatever tau_h.
+It replays the steady-state suppression rule one event at a time with a
+heapq event loop.  Every node runs intervals of length ``tau_h``.  At each
+interval start the node sets its heard-message count to 0 and draws its
+broadcast offset ``theta = tau_h*(eta + u*(1 - eta))`` from one uniform
+draw ``u``.  At its timer it transmits iff it has heard fewer than ``k``
+consistent messages this interval; each transmission adds 1 to the count
+of every node that hears it.
+
+It consumes each node's random stream in the same order as the
+production engine (skew first in uniform mode, then one broadcast offset
+per interval) and builds event times with the same float arithmetic, so
+the two must agree bit-for-bit on every transmission, whatever tau_h.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ import heapq
 
 import numpy as np
 
-from tricklesim.core import hear_consistent, initial_state, interval_end, timer_fire
 from tricklesim.engine import SimRunConfig, Skew
 from tricklesim.topology import SingleCell, neighbor_table, num_nodes
 
@@ -26,6 +31,7 @@ def reference_run(config: SimRunConfig):
     (no warmup cut), in processing order.
     """
     n = num_nodes(config.topology)
+    k, eta = config.trickle.k, config.trickle.eta
     tau = config.trickle.tau_h
     dur = config.duration
     if isinstance(config.topology, SingleCell):
@@ -42,7 +48,7 @@ def reference_run(config: SimRunConfig):
         s = rngs[i].random() * tau if config.skew is Skew.UNIFORM_RANDOM else 0.0
         skews.append(s)
 
-    states = [None] * n
+    heard = [0] * n
     # Entries are (time, node, sequence); within one node interval start j
     # has sequence 2j and the fire 2j+1, matching the engine's tie-break.
     heap = [(skews[i], i, 0) for i in range(n)]
@@ -53,26 +59,22 @@ def reference_run(config: SimRunConfig):
         t, i, seq = heapq.heappop(heap)
         j = seq // 2
         if seq % 2 == 0:  # interval start
-            if j == 0:
-                states[i] = initial_state(config.trickle, t, rngs[i])
-            else:
-                states[i] = interval_end(states[i], config.trickle, t, rngs[i])
+            heard[i] = 0
+            theta = tau * (eta + rngs[i].random() * (1.0 - eta))
             start = skews[i] + tau * j
             nxt = skews[i] + tau * (j + 1)
-            fire = min(start + states[i].theta, nxt)
+            fire = min(start + theta, nxt)
             if fire <= dur:
                 heapq.heappush(heap, (fire, i, 2 * j + 1))
             if nxt <= dur:
                 heapq.heappush(heap, (nxt, i, 2 * j + 2))
         else:  # broadcast timer
-            states[i], transmit = timer_fire(states[i], config.trickle)
             attempts.append(t)
-            if transmit:
+            if heard[i] < k:
                 tx_t.append(t)
                 tx_i.append(i)
                 for h in hearers[i]:
-                    if states[h] is not None:
-                        states[h] = hear_consistent(states[h])
+                    heard[h] += 1
 
     return (
         np.asarray(attempts, dtype=np.float64),

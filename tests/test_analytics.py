@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import erfc
 
 from tricklesim import analytics as an
@@ -120,6 +121,13 @@ def test_norm_const_degenerate_cases():
         an.norm_const(an.AnalyticParams(k=151, n=10, eta=0.0))
 
 
+@pytest.mark.parametrize("k,n,eta", [(147, 2000, 0.3), (140, 2000, 0.0), (147, 2000, 0.0)])
+def test_norm_const_outside_float_range_raises(k, n, eta):
+    # its reciprocal underflows to a subnormal (the constant was inf) or to 0
+    with pytest.raises(ArithmeticError, match=f"k={k}, n={n}, eta={eta}"):
+        an.norm_const(an.AnalyticParams(k=k, n=n, eta=eta))
+
+
 def test_norm_const_eta0_closed_form():
     # (2n)^((k-1)/2) Gamma(k/2) / sqrt(pi)
     for k in (2, 3, 4, 7):
@@ -188,6 +196,37 @@ def test_cdf_T_basics():
         an.cdf_T(0.5, an.AnalyticParams(k=2, n=5, eta=1.0))
     with pytest.raises(ValueError):
         an.cdf_T(-0.5, p)
+
+
+def scaled_gap_law(t: float, k: int, n: int) -> tuple[float, float]:
+    """(cdf, pdf) of the eta=0 gap law at `t`, by adaptive quadrature in the
+    scaled variable x = s/sigma with no absolute floor, normalized by its
+    own value at t=0: F = 1 - I(u)/I(0), f = J(u)/(sigma I(0)), u = t/sigma,
+    I(u) = int x^(k-2) e^(-(x+u)^2/2) dx, J(u) = int x^(k-2) (x+u) e^(-(x+u)^2/2) dx."""
+    sigma = 1.0 / math.sqrt(n)
+    u = t / sigma
+
+    def integral(f):
+        return integrate.quad(f, 0.0, 20.0 + 4.0 * math.sqrt(k), epsabs=0.0, epsrel=1e-13,
+                              limit=400)[0]
+
+    i0 = integral(lambda x: x ** (k - 2) * math.exp(-0.5 * x * x))
+    i = integral(lambda x: x ** (k - 2) * math.exp(-0.5 * (x + u) ** 2))
+    j = integral(lambda x: x ** (k - 2) * (x + u) * math.exp(-0.5 * (x + u) ** 2))
+    return 1.0 - i / i0, j / (sigma * i0)
+
+
+@pytest.mark.parametrize("n", [200, 2000])
+@pytest.mark.parametrize("k", [8, 12, 16, 32])
+def test_gap_law_large_k_eta0(k, n):
+    # c = C/(k-2)! reaches 1e19 here, so the quadrature's absolute
+    # tolerance must bound the returned value, not the raw integral
+    p = an.AnalyticParams(k=k, n=n, eta=0.0)
+    m1, m2 = an.moment_T(1, p), an.moment_T(2, p)
+    for t in np.linspace(0.0, m1 + 6.0 * math.sqrt(m2 - m1 * m1), 25).tolist():
+        cdf, pdf = scaled_gap_law(t, k, n)
+        assert an.cdf_T(t, p) == pytest.approx(cdf, rel=0, abs=1e-10), t
+        assert an.pdf_T(t, p) == pytest.approx(pdf, rel=1e-8, abs=0), t
 
 
 def test_moment_T_frozen_values():

@@ -337,6 +337,15 @@ def test_k_beyond_norm_const_limit_exits_2_without_output(tmp_path, mode, k):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_norm_const_past_float_range_exits_3_without_output(tmp_path, capsys):
+    # k=147 is within the limit, but at n=2000, eta=0.3 the constant is not a float
+    out = tmp_path / "out"
+    assert run_cli("compare", "--k", "147", "--n", "2000", "--eta", "0.3",
+                   "--replications", "1", "--duration", "12", "--out", str(out)) == 3
+    assert "k=147, n=2000, eta=0.3" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_multicell_without_transmissions_exits_2(tmp_path):
     # a lone node can skip a whole window: no fire in [10, 11) for seed 12
     assert run_cli("multicell", "--k", "1", "--side", "1", "--range", "1",

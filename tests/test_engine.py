@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from scipy import stats
 
+import _reference
 from _reference import reference_run
 from tricklesim import engine
 from tricklesim.core import TrickleConfig
@@ -122,8 +125,10 @@ def test_run_config_validation():
         cell_cfg(1, 5, 0.0, duration=5.0, warmup=5.0)
     with pytest.raises(ValueError):
         cell_cfg(1, 5, 0.0, warmup=-1.0)
-    with pytest.raises(ValueError):
-        cell_cfg(1, 5, 0.0, seed="abc")
+    for seed in ("abc", 5.0):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            cell_cfg(1, 5, 0.0, seed=seed)
+    assert cell_cfg(1, 5, 0.0, seed=np.uint64(5)).seed == 5
     for make in (lambda: SingleCell(0), lambda: SingleCell(2.5), lambda: Grid(2.5, 1.0),
                  lambda: cell_cfg(1.5, 5, 0.0)):
         with pytest.raises(ValueError, match="integer"):
@@ -690,6 +695,50 @@ def test_reference_fuzz_many_seeds():
         m = (tx_t > 1.0) & (tx_t <= 11.0)
         assert np.array_equal(st.transmission_times, tx_t[m]), f"seed {seed}"
         assert np.array_equal(st.transmission_nodes, tx_i[m]), f"seed {seed}"
+
+
+def oracle_dependencies(source: str) -> list[str]:
+    """What `source` takes from the package that an independent oracle must
+    not: `tricklesim.core`, or an underscore name of a tricklesim module,
+    imported or read as an attribute of an imported name."""
+    found, bound = [], set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            pairs = [(a.name, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            pairs = [(f"{node.module}.{a.name}", a.asname or a.name) for a in node.names]
+        else:
+            continue
+        for path, name in pairs:
+            parts = path.split(".")
+            if parts[0] == "tricklesim":
+                bound.add(name)
+                if parts[1:2] == ["core"] or any(p.startswith("_") for p in parts):
+                    found.append(path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_reference_stays_independent_of_engine_internals():
+    # The oracle restates the suppression rule; leaning on the engine's
+    # private helpers (_streams, _thetas, _fires_before) would let a fault
+    # in them pass both sides of the equivalence tests.
+    assert oracle_dependencies(Path(_reference.__file__).read_text()) == []
+    for bad in ("from tricklesim.core import TrickleConfig",
+                "from tricklesim import core",
+                "import tricklesim.core as c",
+                "from tricklesim.engine import run, _thetas",
+                "from tricklesim import engine\nengine._streams(None, 1)",
+                "import tricklesim.engine as e\ne._fires_before",
+                "import tricklesim.engine\ntricklesim.engine._thetas"):
+        assert oracle_dependencies(bad), bad
 
 
 # --------------------------------------------------------------------------
