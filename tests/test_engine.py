@@ -607,6 +607,33 @@ def test_only_last_two_columns_reach_window_bound(monkeypatch):
     assert second_last_reached > 0
 
 
+def tie_cases():
+    # long enough, and shuffled, that numpy's unstable sort reorders the ties
+    rng = np.random.default_rng(12)
+    return {
+        "all_equal": np.full(300, 2.0),
+        "tied_runs_at_both_ends": rng.permutation(
+            np.concatenate([np.zeros(60), 1.0 + rng.random(100), np.full(60, 5.0)])),
+        "neighbouring_tied_runs": rng.permutation(np.repeat([1.0, 2.0, 2.5], 70)),
+        "inf": rng.permutation(np.concatenate([np.full(50, np.inf), np.repeat([0.0, 1.0], 40)])),
+        "one": np.array([4.2]),
+        "empty": np.empty(0),
+    }
+
+
+@pytest.mark.parametrize("name", list(tie_cases()))
+def test_time_order_keeps_ties_in_index_order(name):
+    t = tie_cases()[name]
+    assert np.array_equal(engine._time_order(t), np.argsort(t, kind="stable"))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(hs.lists(hs.sampled_from([0.0, 0.7, 1.0, 2.5, np.inf]), max_size=400))
+def test_time_order_matches_stable_sort_fuzz(values):
+    t = np.array(values, dtype=float)
+    assert np.array_equal(engine._time_order(t), np.argsort(t, kind="stable"))
+
+
 @pytest.mark.parametrize(
     "topology,short_run,long_run",
     # the short run is one schedule chunk of 2**17 // n interval indices
