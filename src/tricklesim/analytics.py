@@ -5,10 +5,11 @@ eta, redundancy constant k.  The network-wide inter-transmission time T
 has the hazard of a superposed attempt process: zero during the listen-only
 window, then growing linearly.  Everything else follows from that single
 law: the k = 1 gap distribution in closed form, the general-k law through
-a (k-1)-fold residual construction evaluated by quadrature, message-count
-means and moments through one normalization constant per (k, n, eta), the
-large-n limits in both regimes, and a cell-decomposition estimate for
-square-grid networks.
+a (k-1)-fold residual construction evaluated by one fixed Gauss-Legendre
+rule, message-count means and moments through one normalization constant
+per (k, n, eta), the large-n limits in both regimes, and a
+cell-decomposition estimate for square-grid networks.  The gap laws take a
+scalar t and return a float, or an array of t and return an array.
 
 All functions are pure; the normalization constant is cached per
 parameter triple.
@@ -25,7 +26,7 @@ from numbers import Integral
 import numpy as np
 from scipy.special import erfc, gammaln
 
-from .quadrature import quad
+from .quadrature import fixed_quad, quad
 from .residual import LifetimeDistribution, shifted_rayleigh
 
 __all__ = [
@@ -100,6 +101,15 @@ def _gamma_ratio(a: float, b: float) -> float:
     return math.exp(gammaln(a) - gammaln(b))
 
 
+def _t_array(t) -> np.ndarray:
+    """`t` as a float array, ValueError on NaN or t < 0.  Clipped at 1e100,
+    where every gap law is exactly 1 or 0, so inf never meets ``inf * 0``."""
+    arr = np.asarray(t, dtype=float)
+    if not (arr >= 0).all():
+        raise ValueError(f"t must be >= 0 and not NaN, got {t}")
+    return np.minimum(arr, 1e100)
+
+
 # --------------------------------------------------------------------------
 # first transmission (k = 1)
 
@@ -120,26 +130,29 @@ def hazard_unconditional(t: float, p: AnalyticParams) -> float:
     return p.n * (t - p.eta) / (1.0 - p.eta)
 
 
-def cdf_T1(t: float, p: AnalyticParams) -> float:
+def cdf_T1(t, p: AnalyticParams):
     """Distribution of the network-wide gap for k = 1:
     ``1 - exp[-(n/2)(t - eta)^2 / (1 - eta)]`` past the listen-only point."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    arr = _t_array(t)
     if p.eta == 1.0:
-        return 1.0 if t >= 1.0 else 0.0
-    if t < p.eta:
-        return 0.0
-    return -math.expm1(-0.5 * p.n * (t - p.eta) ** 2 / (1.0 - p.eta))
+        vals = np.where(arr >= 1.0, 1.0, 0.0)
+    else:
+        vals = -np.expm1(-0.5 * p.n * np.maximum(arr - p.eta, 0.0) ** 2 / (1.0 - p.eta))
+    return vals if np.ndim(t) else float(vals)
 
 
-def pdf_T1(t: float, p: AnalyticParams) -> float:
+def pdf_T1(t, p: AnalyticParams):
     """Density of the k = 1 gap: hazard times survival."""
     if p.eta == 1.0:
         raise ValueError("gap law is a point mass at t=1 for eta=1; no density")
-    if t < p.eta:
-        return 0.0
-    lam = p.n * (t - p.eta) / (1.0 - p.eta)
-    return lam * math.exp(-0.5 * p.n * (t - p.eta) ** 2 / (1.0 - p.eta))
+    arr = _t_array(t)
+    vals = p.n * np.maximum(arr - p.eta, 0.0) / (1.0 - p.eta) * _sf_T1(arr, p)
+    return vals if np.ndim(t) else float(vals)
+
+
+def _sf_T1(x, p: AnalyticParams):
+    # Survival of the k = 1 gap law over arrays, without the validation.
+    return np.exp(-0.5 * p.n / (1.0 - p.eta) * np.maximum(x - p.eta, 0.0) ** 2)
 
 
 def mean_T1(p: AnalyticParams) -> float:
@@ -164,12 +177,8 @@ def conditional_cdf_T2(t: float, v: float, p: AnalyticParams) -> float:
         raise ValueError(f"conditional second-gap law is defined for k=2, got k={p.k}")
     if t < 0 or v < 0:
         raise ValueError(f"t and v must be >= 0, got t={t}, v={v}")
-    if p.eta == 1.0:
-        return 1.0 if t + v >= 1.0 else 0.0
-    if t + v < p.eta:
-        return 0.0
-    if v < p.eta:
-        return -math.expm1(-p.n * (t + v - p.eta) ** 2 / (2.0 * (1.0 - p.eta)))
+    if v < p.eta or p.eta == 1.0:
+        return cdf_T1(t + v, p)
     return -math.expm1(-p.n * (0.5 * t * t + t * (v - p.eta)) / (1.0 - p.eta))
 
 
@@ -241,13 +250,6 @@ def norm_const(p: AnalyticParams) -> float:
     return _norm_const_cached(p.k, p.n, p.eta)
 
 
-def _sf_T1(x: float, p: AnalyticParams) -> float:
-    # Survival of the k=1 gap law without the validation overhead.
-    if x < p.eta:
-        return 1.0
-    return math.exp(-0.5 * p.n * (x - p.eta) ** 2 / (1.0 - p.eta))
-
-
 def joint_density(t_vec, p: AnalyticParams) -> float:
     """Stationary joint density of the k-1 gaps preceding a transmission.
 
@@ -256,11 +258,9 @@ def joint_density(t_vec, p: AnalyticParams) -> float:
     """
     if p.k < 2:
         raise ValueError(f"joint gap density needs k >= 2, got k={p.k}")
-    t = np.asarray(t_vec, dtype=float)
+    t = _t_array(t_vec)
     if t.shape != (p.k - 1,):
         raise ValueError(f"need exactly k-1={p.k - 1} coordinates, got shape {t.shape}")
-    if np.any(t < 0):
-        raise ValueError("coordinates must be nonnegative")
     s = float(t.sum())
     c = norm_const(p)
     if p.eta == 1.0:
@@ -281,56 +281,44 @@ def sigma_density(s: float, p: AnalyticParams) -> float:
     return c * s ** (p.k - 2) * _sf_T1(s, p)
 
 
-def pdf_T(t: float, p: AnalyticParams) -> float:
+def _gap_law(t, p: AnalyticParams, density: bool):
+    # pdf_T (density) or cdf_T for k >= 2: each t is one fixed-rule integral
+    # over s from max(0, eta - t), where the hazard at s + t turns positive.
+    if p.eta == 1.0:
+        raise ValueError("gap law is degenerate at eta=1; no density or continuous CDF")
+    arr = _t_array(t)
+    lo = np.maximum(0.0, p.eta - arr.ravel())
+
+    def kernel(s, tt):
+        g = s ** (p.k - 2) * _sf_T1(s + tt, p)
+        return (s + tt - p.eta) * g if density else g
+
+    width = _trunc_upper(p.k, math.sqrt((1.0 - p.eta) / p.n))
+    integral = fixed_quad(kernel, arr.ravel(), lo, width)
+    c = norm_const(p) / math.factorial(p.k - 2)
+    if density:
+        vals = c * p.n / (1.0 - p.eta) * integral
+    else:  # plus the exact polynomial piece below lo, where the survival is 1
+        vals = np.clip(1.0 - c * (lo ** (p.k - 1) / (p.k - 1) + integral), 0.0, 1.0)
+    return vals.reshape(arr.shape) if np.ndim(t) else float(vals[0])
+
+
+def pdf_T(t, p: AnalyticParams):
     """Density of the stationary inter-transmission time for general k.
 
     k = 1 routes to the closed form; k >= 2 evaluates
-    ``C/(k-2)! * int f_1(s + t) s^(k-2) ds`` by quadrature over the range
-    where the hazard is positive.
+    ``C/(k-2)! * int f_1(s + t) s^(k-2) ds`` by the fixed Gauss-Legendre
+    rule over the range where the hazard is positive.  Scalar t in, float
+    out; array in, array out.  NaN or negative t raises ValueError; inf gives 0.
     """
-    if p.k == 1:
-        return pdf_T1(t, p)
-    if p.eta == 1.0:
-        raise ValueError("gap law is degenerate at eta=1; no density")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    eta, n, k = p.eta, p.n, p.k
-    sigma = math.sqrt((1.0 - eta) / n)
-    rate = n / (1.0 - eta)
-    lo = max(0.0, eta - t)
-    hi = lo + _trunc_upper(k, sigma)
-
-    def integrand(s: float) -> float:
-        w = s + t - eta
-        return w * s ** (k - 2) * math.exp(-0.5 * rate * w * w)
-
-    # epsabs bounds the density's error, not the integral's: c is ~1e19 at k=16, n=2000.
-    c = norm_const(p) / math.factorial(k - 2)
-    return c * rate * quad(integrand, lo, hi, epsabs=1e-12 / (c * rate), epsrel=1e-10, limit=300)
+    return pdf_T1(t, p) if p.k == 1 else _gap_law(t, p, density=True)
 
 
-def cdf_T(t: float, p: AnalyticParams) -> float:
+def cdf_T(t, p: AnalyticParams):
     """Distribution of the stationary inter-transmission time for general k:
-    ``1 - C/(k-2)! * int sf_1(s + t) s^(k-2) ds``."""
-    if p.k == 1:
-        return cdf_T1(t, p)
-    if p.eta == 1.0:
-        raise ValueError("gap law is degenerate at eta=1; no continuous CDF")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    eta, n, k = p.eta, p.n, p.k
-    sigma = math.sqrt((1.0 - eta) / n)
-    rate = n / (1.0 - eta)
-    lo = max(0.0, eta - t)
-
-    c = norm_const(p) / math.factorial(k - 2)
-    # Exact polynomial piece where the survival is identically 1.
-    tail = lo ** (k - 1) / (k - 1)
-    kernel = lambda s: s ** (k - 2) * math.exp(-0.5 * rate * (s + t - eta) ** 2)
-    # epsabs bounds the CDF's error, not the integral's (see pdf_T).
-    hi = lo + _trunc_upper(k, sigma)
-    tail += quad(kernel, lo, hi, epsabs=1e-12 / c, epsrel=1e-10, limit=300)
-    return min(1.0, max(0.0, 1.0 - c * tail))
+    ``1 - C/(k-2)! * int sf_1(s + t) s^(k-2) ds``, evaluated as `pdf_T` is
+    (t = inf gives 1)."""
+    return cdf_T1(t, p) if p.k == 1 else _gap_law(t, p, density=False)
 
 
 def moment_T(j: int, p: AnalyticParams) -> float:
@@ -415,36 +403,30 @@ def _limit_eta0_closed(t: np.ndarray, k: int) -> np.ndarray:
     return prev1
 
 
-def _limit_eta0_quad(t: float, k: int) -> float:
-    integrand = lambda v: (t + v) * v ** (k - 2) * math.exp(-((t + v) ** 2))
-    return 4.0 / math.exp(gammaln(0.5 * (k - 1))) * quad(
-        integrand, 0.0, 12.0 + 2.0 * math.sqrt(k), epsabs=1e-13, epsrel=1e-11
-    )
-
-
 def limiting_pdf_eta0(t, k: int):
     """Large-n density of the scaled gap ``sqrt(n/2) T`` at eta = 0.
 
     Closed forms for k = 2 (half-Gaussian shape) and k = 3 (erfc); for
     k >= 4 a two-term recursion ladders up from those, and every call also
-    evaluates the defining integral directly -- the two must agree to 1e-8
-    absolute or an ArithmeticError is raised.  Accepts a scalar or an
-    array of t values.
+    evaluates the defining integral by the fixed Gauss-Legendre rule -- the
+    two must agree to 1e-8 absolute or an ArithmeticError is raised.
+    Accepts a scalar or an array of t values.
     """
     if k < 2:
         raise ValueError(f"limit density needs k >= 2, got k={k}")
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(arr < 0):
-        raise ValueError("t must be >= 0")
+    arr = np.atleast_1d(_t_array(t))
     vals = _limit_eta0_closed(arr, k)
     if k >= 4:
-        for i, ti in enumerate(arr):
-            direct = _limit_eta0_quad(float(ti), k)
-            if abs(direct - vals[i]) > 1e-8:
-                raise ArithmeticError(
-                    f"limit-density recursion disagrees with quadrature at "
-                    f"k={k}, t={ti}: {vals[i]!r} vs {direct!r}"
-                )
+        integrand = lambda v, tt: (tt + v) * v ** (k - 2) * np.exp(-((tt + v) ** 2))
+        direct = 4.0 / math.exp(gammaln(0.5 * (k - 1))) * fixed_quad(
+            integrand, arr.ravel(), np.zeros(arr.size), 12.0 + 2.0 * math.sqrt(k)
+        )
+        i = int(np.argmax(np.abs(direct - vals.ravel())))
+        if abs(direct[i] - vals.flat[i]) > 1e-8:
+            raise ArithmeticError(
+                f"limit-density recursion disagrees with quadrature at "
+                f"k={k}, t={arr.flat[i]}: {vals.flat[i]!r} vs {direct[i]!r}"
+            )
     return vals if np.ndim(t) else float(vals[0])
 
 

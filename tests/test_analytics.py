@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,8 +195,76 @@ def test_cdf_T_basics():
     )
     with pytest.raises(ValueError):
         an.cdf_T(0.5, an.AnalyticParams(k=2, n=5, eta=1.0))
-    with pytest.raises(ValueError):
-        an.cdf_T(-0.5, p)
+    for q in (p, an.AnalyticParams(k=1, n=50, eta=0.25)):
+        for law in (an.cdf_T, an.pdf_T):
+            for bad in (-0.5, math.nan, [0.1, -0.5], [0.1, math.nan]):
+                with pytest.raises(ValueError):
+                    law(bad, q)
+        assert an.cdf_T(math.inf, q) == 1.0
+        assert an.pdf_T(math.inf, q) == 0.0
+        assert an.cdf_T([0.1, math.inf], q)[1] == 1.0
+        assert an.pdf_T([0.1, math.inf], q)[1] == 0.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 147])
+def test_gap_law_array_equals_scalar_calls(k):
+    # Bit for bit on a grid longer than one block of the fixed rule: a row's
+    # value must not depend on the rows evaluated with it.
+    p = an.AnalyticParams(k=k, n=50, eta=0.25)
+    grid = np.linspace(0.0, 1.5, 150)
+    for law in (an.cdf_T, an.pdf_T):
+        vals = law(grid, p)
+        assert vals.shape == grid.shape
+        assert isinstance(law(0.3, p), float)
+        assert np.array_equal(vals, [law(t, p) for t in grid.tolist()])
+        assert np.array_equal(law(grid.reshape(10, 15), p), vals.reshape(10, 15))
+
+
+def test_gap_law_grid_memory():
+    p = an.AnalyticParams(k=100, n=50, eta=0.0)
+    grid = np.linspace(0.0, 1.0, 1025)
+    for law in (an.cdf_T, an.pdf_T):
+        law(0.5, p)
+        tracemalloc.start()
+        try:
+            law(grid, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, (law.__name__, peak)
+
+
+def adaptive_gap_law(t: float, p: an.AnalyticParams) -> tuple[float, float]:
+    """(cdf, pdf) of the general-k gap law at `t` by adaptive quadrature, with
+    absolute tolerances that bound the returned values (1e-12)."""
+    eta, n, k = p.eta, p.n, p.k
+    rate = n / (1.0 - eta)
+    lo = max(0.0, eta - t)
+    hi = lo + (12.0 + 3.0 * math.sqrt(k)) * math.sqrt((1.0 - eta) / n)
+    c = an.norm_const(p) / math.factorial(k - 2)
+
+    def kernel(s: float) -> float:
+        return s ** (k - 2) * math.exp(-0.5 * rate * (s + t - eta) ** 2)
+
+    tail = quad(kernel, lo, hi, epsabs=1e-12 / c, epsrel=1e-10, limit=300)
+    dens = quad(lambda s: (s + t - eta) * kernel(s), lo, hi,
+                epsabs=1e-12 / (c * rate), epsrel=1e-10, limit=300)
+    return min(1.0, max(0.0, 1.0 - c * (lo ** (k - 1) / (k - 1) + tail))), c * rate * dens
+
+
+@pytest.mark.parametrize("eta", [0.25, 0.5, 0.75, 0.9])
+@pytest.mark.parametrize("k", [2, 3, 8, 100, 147])
+def test_gap_law_matches_adaptive_quadrature(k, eta):
+    for n in (20, 200):
+        p = an.AnalyticParams(k=k, n=n, eta=eta)
+        m1, m2 = an.moment_T(1, p), an.moment_T(2, p)
+        grid = np.linspace(0.0, m1 + 6.0 * math.sqrt(m2 - m1 * m1), 25)
+        cdf, pdf = an.cdf_T(grid, p), an.pdf_T(grid, p)
+        for t, F, f in zip(grid.tolist(), cdf, pdf):
+            ref_cdf, ref_pdf = adaptive_gap_law(t, p)
+            assert F == pytest.approx(ref_cdf, rel=0, abs=1e-12), (n, t)
+            # the oracle's own absolute tolerance floors the relative bound
+            assert f == pytest.approx(ref_pdf, rel=1e-10, abs=1e-12), (n, t)
 
 
 def scaled_gap_law(t: float, k: int, n: int) -> tuple[float, float]:
@@ -357,8 +426,9 @@ def test_limiting_pdf_eta0_arrays_and_validation():
     vals = an.limiting_pdf_eta0(t, 6)
     assert vals.shape == t.shape
     assert isinstance(an.limiting_pdf_eta0(0.5, 6), float)
-    with pytest.raises(ValueError):
-        an.limiting_pdf_eta0(-0.1, 4)
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            an.limiting_pdf_eta0(bad, 4)
     with pytest.raises(ValueError):
         an.limiting_pdf_eta0(0.1, 1)
 
