@@ -121,8 +121,8 @@ def hazard_unconditional(t: float, p: AnalyticParams) -> float:
     at t = 1 (every broadcast offset equals the interval length), returned
     as an infinite rate there.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0 and not NaN, got {t}")
     if p.eta == 1.0:
         return math.inf if t >= 1.0 else 0.0
     if t < p.eta:
@@ -175,8 +175,8 @@ def conditional_cdf_T2(t: float, v: float, p: AnalyticParams) -> float:
     """
     if p.k != 2:
         raise ValueError(f"conditional second-gap law is defined for k=2, got k={p.k}")
-    if t < 0 or v < 0:
-        raise ValueError(f"t and v must be >= 0, got t={t}, v={v}")
+    if not (t >= 0 and v >= 0):
+        raise ValueError(f"t and v must be >= 0 and not NaN, got t={t}, v={v}")
     if v < p.eta or p.eta == 1.0:
         return cdf_T1(t + v, p)
     return -math.expm1(-p.n * (0.5 * t * t + t * (v - p.eta)) / (1.0 - p.eta))
@@ -273,8 +273,8 @@ def sigma_density(s: float, p: AnalyticParams) -> float:
     ``C / (k-2)! * s^(k-2) * sf_1(s)``."""
     if p.k < 2:
         raise ValueError(f"gap-sum density needs k >= 2, got k={p.k}")
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
+    if not s >= 0:
+        raise ValueError(f"s must be >= 0 and not NaN, got {s}")
     c = norm_const(p) / math.factorial(p.k - 2)
     if p.eta == 1.0:
         return c * s ** (p.k - 2) if s < 1.0 else 0.0
@@ -383,6 +383,8 @@ def limiting_pdf_eta_pos(t: float, k: int, eta: float) -> float:
         raise ValueError(f"limit density needs k >= 2, got k={k}")
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
+    if math.isnan(t):
+        raise ValueError("t must not be NaN")
     if t < 0.0 or t > eta:
         return 0.0
     return (k - 1) / eta * (1.0 - t / eta) ** (k - 2)

@@ -6,20 +6,20 @@ never shrink or grow).  Each node's interval starts and timer fires come
 from its own seeded stream; simultaneous events are ordered by (time, node
 id, per-node sequence).
 
-Only the fires are scheduled and sorted.  Each fire is tagged with ``lo``,
-the number of fires ahead of its own interval start in that order, and fire
-``p`` of node ``i`` transmits iff fewer than ``k`` transmissions that ``i``
-hears lie at positions ``[lo_p, p)``.  The fires are built in time chunks.
-A window of interval indices ``[j0, j0 + W)`` draws ``W`` offsets from
-every node's stream and emits the fires before ``B = (j0 + W)*tau_h``;
-every fire of a later interval is at or after ``B``.  A fire of interval
-``j`` lies at or below ``s + (j+1)*tau_h``, below ``(j+2)*tau_h`` in exact
-arithmetic and at most equal to it after rounding, so only the window's
-last two columns (intervals) can reach ``B``: those two columns carry over
-to the next window.  A chunk is laid out in (node, sequence) order, the
-carried columns first, and sorted on time with ties kept in layout order
-(`_time_order`), so chunks split no tie and their concatenation is the
-whole schedule in (time, node, sequence) order.
+Only the fires are scheduled and sorted, and fire ``p`` of node ``i``
+transmits iff fewer than ``k`` transmissions that ``i`` hears lie between
+its own interval start and ``p`` in that order.  The fires are built in
+time chunks.  A window of interval indices ``[j0, j0 + W)`` draws ``W``
+offsets from every node's stream and emits the fires before
+``B = (j0 + W)*tau_h``; every fire of a later interval is at or after
+``B``.  A fire of interval ``j`` lies at or below ``s + (j+1)*tau_h``,
+below ``(j+2)*tau_h`` in exact arithmetic and at most equal to it after
+rounding, so only the window's last two columns (intervals) can reach
+``B``: those two columns carry over to the next window.  A chunk is laid
+out in (node, sequence) order, the carried columns first, and sorted on
+time with ties kept in layout order (`_time_order`), so chunks split no
+tie and their concatenation is the whole schedule in (time, node,
+sequence) order.
 ``W = max(2, _SCHEDULE_FIRES // n)``: a chunk holds about 2**17 fires of
 the n nodes, so a run's memory is O(n + chunk) whatever its duration.
 Runs of up to 2**17 fires (small cells over the usual horizons)
@@ -27,18 +27,24 @@ are one chunk.  The constant is fixed, not a setting: results do not
 depend on it, and it trades per-chunk work for memory.
 
 One chunk loop serves both topologies; only the sweep over a chunk's
-sorted fires differs:
+sorted fires differs.  Each sweep gets the fires' times and nodes and the
+interval start times ``s + j*tau_h`` of the chunk's layout:
 
-* single cell -- every node hears every transmission, so a fire transmits
-  iff the k-th most recent transmission lies before its ``lo``; a
+* single cell -- every node hears every transmission, so the rule is one
+  of times: fire ``p`` of node ``i``, whose interval started at ``S``,
+  transmits iff the k-th most recent transmission, at time ``t_q`` by
+  node ``i_q``, precedes that start, ``(t_q, i_q) <= (S, i)``.  A
   vectorized scan steps through the candidate transmitters alone,
-  carrying the last k transmissions from chunk to chunk;
-* grid -- each node counts the transmissions it has heard so far, and the
-  count at its latest interval start bounds what a fire has heard from
-  below.  Taken ``_GRID_STEP`` fires at a time, that bound suppresses most
-  fires in one vectorized test, and the few left are resolved together
-  against the step's earlier transmitters among their neighbors
-  (`_GridSweep`); the counts carry from chunk to chunk.
+  carrying the last k transmissions from chunk to chunk (`_CellSweep`);
+* grid -- each interval start is tagged with ``lo``, the number of fires
+  ahead of it, found by a search among the sorted fires
+  (`_fires_before`).  Each node counts the transmissions it has heard so
+  far, and the count at its latest interval start bounds what a fire has
+  heard from below.  Taken ``_GRID_STEP`` fires at a time, that bound
+  suppresses most fires in one vectorized test, and the few left are
+  resolved together against the step's earlier transmitters among their
+  neighbors that lie at or after their ``lo`` (`_GridSweep`); the counts
+  carry from chunk to chunk.
 
 Determinism: node ``i``'s draws come from the PCG64 stream of
 ``SeedSequence(seed, spawn_key=(i,))``, so runs are bit-reproducible,
@@ -309,31 +315,6 @@ def _interval_chunks(config: SimRunConfig, rngs, s: np.ndarray):
         del fires  # freed before the next window is drawn
 
 
-def _fires_before(t, node, start, start_node, n: int) -> np.ndarray:
-    """For each interval start, the number of fires of sorted ``t`` that
-    precede it in the (time, node, sequence) order.
-
-    A fire at exactly a start time precedes that start iff its node id is
-    no larger; that tie-break keeps eta = 1 and synchronized skew exact.
-    (A node's own fire at offset zero also counts, giving ``lo[p] = p + 1``
-    for that fire ``p``, which the sweep treats the same as ``p``.)
-    """
-    lo = np.searchsorted(t, start)
-    if t.size:
-        tie = np.flatnonzero(t[np.minimum(lo, t.size - 1)] == start)
-        if tie.size:
-            # Rank fires by (first position of their time, node); a tied
-            # start then sits after every fire of its time with node id <=
-            # its own.
-            new_time = np.ones(t.size, dtype=bool)
-            new_time[1:] = t[1:] != t[:-1]
-            first = np.maximum.accumulate(np.where(new_time, np.arange(t.size), 0))
-            lo[tie] = np.searchsorted(
-                first * n + node, lo[tie] * n + start_node[tie], side="right"
-            )
-    return lo
-
-
 def _time_order(t: np.ndarray) -> np.ndarray:
     """The permutation that sorts ``t`` (no NaN) with equal values kept in
     index order, as ``np.argsort(t, kind="stable")`` gives it.
@@ -366,59 +347,35 @@ def _run_chunks(config: SimRunConfig, n: int, sweep):
     fires of the layout in ``[previous bound, bound)`` and up to the
     duration, and orders them by time, ties in layout order (`_time_order`).
 
-    Each fire is tagged with ``lo``, the number of fires of the whole run
-    ahead of its interval start, computed in the window of that start: a
-    start before the window's bound has every fire up to its time in this
-    chunk or an earlier one.  A carried column keeps its ``lo`` unless its
-    start is itself at or past the previous bound, which only rounding on
-    the last ulp can bring about.
-
-    ``sweep(node, lo, offset, start_lo)`` decides one chunk's sorted fires,
-    the first of which is fire ``offset`` of the run, and returns the
-    positions within the chunk of those that transmit.  ``start_lo`` holds
-    the ``lo`` of every interval start of the chunk's layout, as a (node,
-    column) array.
+    ``sweep(t, node, now, starts)`` decides one chunk's sorted fires, with
+    times ``t`` and nodes ``node``, and returns the positions within the
+    chunk of those that transmit.  ``now`` holds each fire's index in the
+    flattened layout and ``starts`` the layout's interval start times
+    ``s + tau_h*j``, as a (node, column) array, so ``starts.ravel()[now]``
+    is each fire's own interval start.
     """
     tau = config.trickle.tau_h
     rngs, s = _streams(config, n)
-    # Starts listed by (interval index, skew rank) come out in time order,
-    # up to rounding, which keeps the search for them cache-friendly.
-    rank = np.argsort(s, kind="stable")
-    s_ranked = s[rank]
-    # the carried columns: fire times, interval indices and lo
-    carry, carry_j, carry_lo = np.empty((n, 0)), np.empty(0), np.empty((n, 0), dtype=np.intp)
-    done = 0
+    # the carried columns: fire times and interval indices
+    carry, carry_j = np.empty((n, 0)), np.empty(0, dtype=np.intp)
     prev_bound = -np.inf
     tx_t, tx_i, attempts = [], [], []
     for bound, j, fires in _interval_chunks(config, rngs, s):
         layout = np.concatenate([carry, fires], axis=1).ravel()
+        cols = np.concatenate([carry_j, j])
         live = (layout >= prev_bound) & (layout < bound) & (layout <= config.duration)
         now = np.flatnonzero(live)
         now = now[_time_order(layout[now])]
-        t, node = layout[now], now // (carry_j.size + j.size)
-        start = s[:, None] + tau * carry_j  # the carried columns' starts
-        redo = start >= prev_bound
-        lo = done + _fires_before(
-            t,
-            node,
-            np.concatenate([(s_ranked + (tau * j)[:, None]).ravel(), start[redo]]),
-            np.concatenate([np.tile(rank, j.size), np.nonzero(redo)[0]]),
-            n,
-        )
-        carry_lo[redo] = lo[fires.size:]
-        own_lo = np.empty((n, j.size), dtype=np.intp)
-        own_lo[rank] = lo[: fires.size].reshape(j.size, n).T
-        lo = np.concatenate([carry_lo, own_lo], axis=1)
-        tx = sweep(node, lo.ravel()[now], done, lo)
+        t, node = layout[now], now // cols.size
+        tx = sweep(t, node, now, s[:, None] + tau * cols)
         tx_t.append(t[tx])
         tx_i.append(node[tx])
         if config.record_attempts:
             attempts.append(t[t > config.warmup])
-        carry, carry_j, carry_lo = fires[:, -2:].copy(), j[-2:], lo[:, -2:].copy()
-        done += t.size
+        carry, carry_j = fires[:, -2:].copy(), j[-2:]
         prev_bound = bound
         # drop this chunk's arrays before the next one is built
-        del layout, now, t, node, lo, own_lo, fires
+        del layout, live, now, t, node, fires
     return _joined(tx_t, np.float64), _joined(tx_i, np.intp), _joined(attempts, np.float64)
 
 
@@ -426,35 +383,54 @@ def _run_chunks(config: SimRunConfig, n: int, sweep):
 _MIN_CHUNK = 256
 
 
-def _sweep_single_cell(lo: np.ndarray, k: int, offset: int, recent: list[int]) -> np.ndarray:
-    """Positions, within the chunk, of the transmitting fires of one chunk
-    of a single cell's fires, the first of which is fire ``offset``.
+class _CellSweep:
+    """Single-cell sweep over a run's chunks of sorted fires.
 
-    Every node hears every transmission, so fire ``p`` transmits iff fewer
-    than ``k`` transmissions lie at positions ``[lo[p], p)``: iff
-    ``lo[p] > thr``, where ``thr`` is the position of the k-th most recent
-    transmission (-1 while there are fewer than k).  ``thr`` only grows, so
-    the fires of a step that pass the test against the step's starting
-    ``thr`` are a superset of its transmissions; only those are re-tested
-    one by one.  ``recent`` holds the positions of the last k transmissions
-    of the earlier chunks and is updated in place.
+    Every node hears every transmission, so fire ``p`` of node ``i``, whose
+    interval started at ``S``, transmits iff fewer than ``k``
+    transmissions lie between that start and ``p``: iff the k-th most
+    recent transmission, at time ``t_q`` by node ``i_q``, precedes the
+    start, which in the (time, node, sequence) order is
+    ``(t_q, i_q) <= (S, i)``.  (A fire at exactly a start precedes it iff
+    its node id is no larger, as at eta = 1 and with synchronized skew.)
+    ``t_q`` only grows, so the fires of a step whose ``S >= t_q`` at the
+    step's start are a superset of its transmissions; only those are
+    re-tested one by one, and the nodes are read on an exact time tie
+    alone.  Fewer than ``k`` transmissions so far count as
+    ``(-inf, -1)``.
+
+    The last ``k`` transmissions carry from chunk to chunk, at positions
+    ``-k`` to ``-1`` of ``_tail_t`` and ``_tail_i`` (their time and node).
     """
-    before = len(recent)
-    thr = recent[-k] if before >= k else -1
-    pos = 0
-    while pos < lo.size:
-        end = pos + max(_MIN_CHUNK, pos + offset - thr)
-        seg = lo[pos:end]
-        cand = np.flatnonzero(seg > thr)
-        for p, lo_p in zip((cand + (pos + offset)).tolist(), seg[cand].tolist()):
-            if lo_p > thr:
-                recent.append(p)
-                if len(recent) >= k:
-                    thr = recent[-k]
-        pos = end
-    tx = np.asarray(recent[before:], dtype=np.intp) - offset
-    del recent[:-k]
-    return tx
+
+    def __init__(self, k: int):
+        self.k = k
+        self._tail_t = [-np.inf] * k
+        self._tail_i = [-1] * k
+
+    def __call__(self, t, node, now, starts) -> np.ndarray:
+        k, tail_t, tail_i = self.k, self._tail_t, self._tail_i
+        start = starts.ravel()[now]
+        # positions of the transmissions so far, the tail's first
+        recent = list(range(-k, 0))
+        q, tq = -k, tail_t[-k]
+        pos = 0
+        while pos < t.size:
+            end = pos + max(_MIN_CHUNK, pos - q)
+            seg = start[pos:end]
+            cand = np.flatnonzero(seg >= tq)
+            for p, s_p in zip((cand + pos).tolist(), seg[cand].tolist()):
+                if s_p > tq or s_p == tq and node.item(p) >= (
+                    node.item(q) if q >= 0 else tail_i[q]
+                ):
+                    recent.append(p)
+                    q = recent[-k]
+                    tq = t.item(q) if q >= 0 else tail_t[q]
+            pos = end
+        last = recent[-k:]
+        self._tail_t = [t.item(p) if p >= 0 else tail_t[p] for p in last]
+        self._tail_i = [node.item(p) if p >= 0 else tail_i[p] for p in last]
+        return np.array(recent[k:], dtype=np.intp)
 
 
 # Fires per step of the grid sweep.  Fixed, not a setting, like the chunk:
@@ -485,14 +461,47 @@ def _pairs(rows: np.ndarray, nodes: np.ndarray, flag: np.ndarray, index: np.ndar
     return _joined(out_r, np.intp), _joined(out_q, np.intp)
 
 
-class _GridSweep:
-    """Grid sweep over a run's chunks of sorted, ``lo``-tagged fires.
+def _fires_before(t, node, start, start_node, n: int) -> np.ndarray:
+    """For each interval start, the number of fires of sorted ``t`` that
+    precede it in the (time, node, sequence) order.
 
-    Fire ``p`` of node ``i`` transmits iff fewer than ``k`` transmissions
-    by i's neighbors lie at positions ``[lo[p], p)``.  ``heard[i]`` counts
-    the transmissions node i has heard so far and only grows; ``base[i]``
-    is ``heard[i]`` at i's latest interval start.  The fires are taken
-    ``_GRID_STEP`` at a time:
+    A fire at exactly a start time precedes that start iff its node id is
+    no larger; that tie-break keeps eta = 1 and synchronized skew exact.
+    (A node's own fire at offset zero also counts, giving ``lo[p] = p + 1``
+    for that fire ``p``, which the grid sweep treats the same as ``p``.)
+    """
+    lo = np.searchsorted(t, start)
+    if t.size:
+        tie = np.flatnonzero(t[np.minimum(lo, t.size - 1)] == start)
+        if tie.size:
+            # Rank fires by (first position of their time, node); a tied
+            # start then sits after every fire of its time with node id <=
+            # its own.
+            new_time = np.ones(t.size, dtype=bool)
+            new_time[1:] = t[1:] != t[:-1]
+            first = np.maximum.accumulate(np.where(new_time, np.arange(t.size), 0))
+            lo[tie] = np.searchsorted(
+                first * n + node, lo[tie] * n + start_node[tie], side="right"
+            )
+    return lo
+
+
+class _GridSweep:
+    """Grid sweep over a run's chunks of sorted fires.
+
+    Each interval start is tagged with ``lo``, the number of fires of the
+    whole run ahead of it (`_fires_before`), and fire ``p`` of node ``i``
+    transmits iff fewer than ``k`` transmissions by i's neighbors lie at
+    positions ``[lo[p], p)``, ``lo[p]`` being its interval start's.  Every
+    start of a chunk's layout is searched among the chunk's fires, and the
+    count is added to the fires of the earlier chunks, or for a carried
+    column to the ``lo`` it got in the previous chunk: a start at or past
+    the previous bound had all of that chunk's fires ahead of it, and one
+    before it has none of this chunk's.
+
+    ``heard[i]`` counts the transmissions node i has heard so far and only
+    grows; ``base[i]`` is ``heard[i]`` at i's latest interval start.  The
+    fires are taken ``_GRID_STEP`` at a time:
 
     * a fire whose interval started before the step has heard at least
       ``heard[i] - base[i]`` by now, so it is suppressed if that reaches
@@ -508,9 +517,9 @@ class _GridSweep:
       ``lo`` that the node hears; then ``heard`` takes the step's
       transmissions.
 
-    ``heard`` and ``base`` carry from chunk to chunk.  A chunk's starts
-    come as a (node, column) array of their ``lo``; a start is taken in the
-    step its ``lo`` falls in, so one listed in two chunks is taken once.
+    ``heard``, ``base``, the fires done and the carried columns' ``lo``
+    carry from chunk to chunk.  A start is taken in the step its ``lo``
+    falls in, so one listed in two chunks is taken once.
     """
 
     def __init__(self, grid, n: int, k: int):
@@ -525,10 +534,31 @@ class _GridSweep:
         self.base = np.zeros(n + 1, dtype=np.intp)
         self.flag = np.zeros(n + 1, dtype=bool)
         self.index = np.zeros(n + 1, dtype=np.intp)
+        self.done = 0
+        self.carry_lo = np.empty((n, 0), dtype=np.intp)
 
-    def __call__(self, node, lo, offset: int, start_lo) -> np.ndarray:
+    def _start_lo(self, t, node, starts) -> np.ndarray:
+        """The run-wide ``lo`` of every start of the layout, as a (node,
+        column) array (class docstring)."""
+        n, width = starts.shape
+        # Starts listed by (column, time rank) keep the search cache-friendly.
+        rank = np.argsort(starts[:, -1], kind="stable")
+        ahead = _fires_before(t, node, starts[rank].T.ravel(), np.tile(rank, width), n)
+        lo = np.empty((n, width), dtype=np.intp)
+        lo[rank] = ahead.reshape(width, n).T
+        carried = self.carry_lo.shape[1]
+        lo[:, :carried] += self.carry_lo
+        lo[:, carried:] += self.done
+        return lo
+
+    def __call__(self, t, node, now, starts) -> np.ndarray:
         k, nbr, heard, base = self.k, self.nbr, self.heard, self.base
         marks = self.flag, self.index
+        offset = self.done
+        start_lo = self._start_lo(t, node, starts)
+        lo = start_lo.ravel()[now]
+        self.carry_lo = start_lo[:, -2:].copy()
+        self.done += t.size
         # only cuts needs the starts in lo order; within a step any order will do
         by_lo = np.argsort(start_lo, axis=None)
         start_node, start_lo = by_lo // start_lo.shape[1], start_lo.ravel()[by_lo] - offset
@@ -593,10 +623,7 @@ def run(config: SimRunConfig) -> SimStats:
     n = num_nodes(config.topology)
     k = config.trickle.k
     if isinstance(config.topology, SingleCell):
-        recent: list[int] = []
-
-        def sweep(node, lo, offset, start_lo):
-            return _sweep_single_cell(lo, k, offset, recent)
+        sweep = _CellSweep(k)
     else:
         sweep = _GridSweep(config.topology, n, k)
     tx_times, tx_nodes, attempts = _run_chunks(config, n, sweep)

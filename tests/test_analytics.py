@@ -44,6 +44,12 @@ def test_hazard_shape():
     assert math.isinf(an.hazard_unconditional(1.0, p1))
 
 
+def test_hazard_rejects_nan():
+    for p in (P50_0, P50_H, an.AnalyticParams(k=1, n=5, eta=1.0)):
+        with pytest.raises(ValueError, match="NaN"):
+            an.hazard_unconditional(math.nan, p)
+
+
 def test_cdf_T1_frozen_value():
     assert an.cdf_T1(0.1, P50_0) == pytest.approx(0.22119921692859513, rel=1e-14)
     assert an.cdf_T1(0.0, P50_0) == 0.0
@@ -96,6 +102,14 @@ def test_conditional_cdf_T2():
         an.conditional_cdf_T2(0.1, 0.1, an.AnalyticParams(k=3, n=50, eta=0.5))
 
 
+def test_conditional_cdf_T2_rejects_nan():
+    p = an.AnalyticParams(k=2, n=50, eta=0.5)
+    # v on either side of eta, and t and v NaN together
+    for t, v in ((math.nan, 0.1), (math.nan, 0.6), (0.1, math.nan), (math.nan, math.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            an.conditional_cdf_T2(t, v, p)
+
+
 # --------------------------------------------------------------------------
 # normalization constant
 
@@ -144,6 +158,12 @@ def test_norm_const_is_reciprocal_of_sigma_integral():
         p = an.AnalyticParams(k=k, n=20, eta=eta)
         total = quad(lambda s: an.sigma_density(s, p), 0.0, 6.0)
         assert total == pytest.approx(1.0, abs=1e-9), (k, eta)
+
+
+def test_sigma_density_rejects_nan():
+    for eta in (0.0, 0.5, 1.0):
+        with pytest.raises(ValueError, match="NaN"):
+            an.sigma_density(math.nan, an.AnalyticParams(k=3, n=20, eta=eta))
 
 
 # --------------------------------------------------------------------------
@@ -411,6 +431,12 @@ def test_limiting_pdf_eta_pos_is_beta():
         an.limiting_pdf_eta_pos(0.1, 1, 0.5)
     with pytest.raises(ValueError):
         an.limiting_pdf_eta_pos(0.1, 3, 0.0)
+
+
+def test_limiting_pdf_eta_pos_rejects_nan():
+    for k, eta in ((2, 0.5), (3, 0.5), (4, 1.0)):
+        with pytest.raises(ValueError, match="NaN"):
+            an.limiting_pdf_eta_pos(math.nan, k, eta)
 
 
 def test_limiting_pdf_eta0_closed_values():

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import kstest
 
 from tricklesim.core import TrickleConfig
-from tricklesim.engine import SimRunConfig, Skew, _sweep_single_cell, _thetas, node_schedule
+from tricklesim.engine import SimRunConfig, Skew, _CellSweep, _thetas, node_schedule
 from tricklesim.topology import SingleCell
 
 
@@ -54,15 +54,38 @@ def test_theta_formula(eta, tau, u, expected):
     assert _thetas(cfg, u) == pytest.approx(expected, abs=1e-15)
 
 
+def cell_sweep(k, fires):
+    """Positions of the transmitting fires among `fires`, (time, node,
+    interval start) triples in schedule order, all in one chunk of the
+    single-cell sweep.  Each fire gets a column of its own in the layout."""
+    t, node, start = (np.array(a) for a in zip(*fires))
+    starts = np.zeros((node.max() + 1, t.size))
+    starts[node, np.arange(t.size)] = start
+    now = node * t.size + np.arange(t.size)
+    return _CellSweep(k)(t, node, now, starts).tolist()
+
+
 @pytest.mark.parametrize("k", range(1, 11))
 @pytest.mark.parametrize("c", range(11))
 def test_timer_fire_threshold(k, c):
     # c fires that each start their own interval and so transmit, then a
     # fire whose interval began before all of them: it has heard c messages
     # and transmits iff c < k
-    lo = np.array([*range(c), 0], dtype=np.intp)
-    tx = _sweep_single_cell(lo, k, 0, [])
-    assert tx.tolist() == list(range(c)) + ([c] if c < k else [])
+    fires = [(p + 1.0, p, p + 0.5) for p in range(c)] + [(c + 1.0, c, 0.0)]
+    assert cell_sweep(k, fires) == list(range(c)) + ([c] if c < k else [])
+
+
+@pytest.mark.parametrize("sender,heard", [(0, False), (1, False), (2, True)])
+def test_timer_fire_tie_at_interval_start(sender, heard):
+    # A transmission at exactly node 1's interval start precedes that start
+    # iff its node id is no larger (the (time, node, sequence) order), so
+    # node 1 hears it only from a node above; at k = 1 that suppresses it.
+    # Node 1's own fire there is its previous interval's, capped at the
+    # rollover.
+    fires = [(1.0, sender, 0.5), (1.5, 1, 1.0)]
+    assert cell_sweep(1, fires) == ([0] if heard else [0, 1])
+    # at k = 2 one message is not enough
+    assert cell_sweep(2, fires) == [0, 1]
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 import tracemalloc
 from pathlib import Path
@@ -662,6 +663,42 @@ def test_run_memory_does_not_grow_with_duration(topology, short_run, long_run):
     # the 8x longer run holds the same schedule chunk and 8x the transmissions
     short, long = peak(short_run), peak(long_run)
     assert long < 2 * short
+
+
+# sha256 of a run's transmission times, transmission nodes and per-window
+# counts, written as little-endian float64, int64 and int64
+PINNED_RUNS = {
+    "k2_eta_half": (
+        (2, 0.5, Skew.UNIFORM_RANDOM),
+        ("3637630ecafaa39fbd78cbd9718a0f1a643329b2bf7dc343a48a8c4852ffdf2a",
+         "0b63e11ccb0e619c7ebb585b171c6fe13369ba689b340d43dfcef2ac09187b01",
+         "95894eb9429bedf92689d17ed44af0e05742cc109d0f08d5761cad8aa6f207c3"),
+    ),
+    "k16_eta0": (
+        (16, 0.0, Skew.UNIFORM_RANDOM),
+        ("9abe5e28b7772d59001560103633c8e47425b242551c546a9e2ec43b13d773e9",
+         "ea52f9bd947e4686b839042de22cfb166bd5de21809a645110e30c9cfe2e9966",
+         "6445e5b41ddec6bfdb9b250c3fac0040c096a3a77b97a971aaff610d73f84b10"),
+    ),
+    "k3_eta1_sync": (
+        (3, 1.0, Skew.SYNCHRONIZED),
+        ("99aff3a1b7c6f5506b4bc4a78b3098639f5b1b7fdd252ae4bc9e196e7a22a77d",
+         "827540a48e3f6634e433fdb3b2152ef2e94a9e46b522477405a032bad333f7aa",
+         "9e3524469a832d5d1caf484eff89f96e1f8d66a9471b9cd520878f663f9c9215"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_multi_chunk_cell_runs_match_pinned_digests(name):
+    # n = 2000 over 150 time units is three schedule chunks of 65 intervals
+    (k, eta, skew), digests = PINNED_RUNS[name]
+    st = run(cell_cfg(k, 2000, eta, duration=150.0, seed=2024, skew=skew))
+    arrays = ((st.transmission_times, "<f8"), (st.transmission_nodes, "<i8"),
+              (st.per_interval_counts, "<i8"))
+    got = tuple(hashlib.sha256(np.ascontiguousarray(a, dtype=d).tobytes()).hexdigest()
+                for a, d in arrays)
+    assert got == digests
 
 
 @hs.composite
