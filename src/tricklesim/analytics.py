@@ -18,13 +18,12 @@ parameter triple.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
-from scipy.special import erfc, gammaln
+from scipy.special import erfc, gammaln, xlogy
 
 from .quadrature import fixed_quad, quad
 from .residual import LifetimeDistribution, shifted_rayleigh
@@ -38,7 +37,6 @@ __all__ = [
     "mean_T1",
     "mean_N1",
     "conditional_cdf_T2",
-    "NORM_CONST_MAX_K",
     "norm_const",
     "joint_density",
     "sigma_density",
@@ -146,13 +144,13 @@ def pdf_T1(t, p: AnalyticParams):
     if p.eta == 1.0:
         raise ValueError("gap law is a point mass at t=1 for eta=1; no density")
     arr = _t_array(t)
-    vals = p.n * np.maximum(arr - p.eta, 0.0) / (1.0 - p.eta) * _sf_T1(arr, p)
+    vals = p.n * np.maximum(arr - p.eta, 0.0) / (1.0 - p.eta) * np.exp(_log_sf_T1(arr, p))
     return vals if np.ndim(t) else float(vals)
 
 
-def _sf_T1(x, p: AnalyticParams):
-    # Survival of the k = 1 gap law over arrays, without the validation.
-    return np.exp(-0.5 * p.n / (1.0 - p.eta) * np.maximum(x - p.eta, 0.0) ** 2)
+def _log_sf_T1(x, p: AnalyticParams):
+    # Log-survival of the k = 1 gap law over arrays, without the validation.
+    return -0.5 * p.n / (1.0 - p.eta) * np.maximum(x - p.eta, 0.0) ** 2
 
 
 def mean_T1(p: AnalyticParams) -> float:
@@ -190,64 +188,70 @@ def _trunc_upper(k: int, sigma: float) -> float:
     return (12.0 + 3.0 * math.sqrt(k)) * sigma
 
 
-# Largest k whose normalization constant is evaluated: the finite-sum form
-# divides floats by (k-1)!, which leaves the float range at k = 172.
-NORM_CONST_MAX_K = 150
-
-
 @lru_cache(maxsize=None)
 def _norm_const_cached(k: int, n: int, eta: float) -> float:
+    # log C, where 1/C = eta^(k-1)/(k-1)! + int_0^inf (eta+u)^(k-2) e^(-u^2/2 sigma^2) du/(k-2)!
     if k == 1:
-        return 1.0
-    if k > NORM_CONST_MAX_K:
-        raise ValueError(f"k={k} too large for direct factorial evaluation")
+        return 0.0
     if eta == 1.0:
         # The Gaussian term vanishes (zero-width kernel); only the
         # polynomial part of the no-broadcast window survives.
-        return math.factorial(k - 1)
+        return math.lgamma(k)
 
     sigma = math.sqrt((1.0 - eta) / n)
+    poly = xlogy(k - 1, eta) - math.lgamma(k)
 
-    # Finite-sum form of the defining integral.
-    acc = 0.0
-    for i in range(k - 1):
-        acc += (
-            math.comb(k - 2, i)
-            * eta ** (k - 2 - i)
-            * (2.0 * (1.0 - eta) / n) ** (0.5 * (i + 1))
-            * math.exp(gammaln(0.5 * (i + 1)))
-        )
-    inv_sum = eta ** (k - 1) / math.factorial(k - 1) + acc / (2.0 * math.factorial(k - 2))
+    # Finite-sum form of the defining integral, by log-sum-exp: the binomial
+    # expansion of (eta+u)^(k-2) against half-integer gamma values.
+    i = np.arange(k - 1)
+    terms = (
+        xlogy(k - 2 - i, eta) + 0.5 * (i + 1) * math.log(2.0 * sigma * sigma)
+        + gammaln(0.5 * (i + 1)) - gammaln(i + 1) - gammaln(k - 1 - i) - math.log(2.0)
+    )
+    top = max(terms.max(), poly)
+    log_sum = float(top + math.log(np.exp(terms - top).sum() + math.exp(poly - top)))
 
-    # Independent quadrature of the same integral, truncated where the
-    # Gaussian kernel underflows.
-    kernel = lambda u: (eta + u) ** (k - 2) * math.exp(-0.5 * (u / sigma) ** 2)
-    inv_quad = eta ** (k - 1) / math.factorial(k - 1) + quad(
-        kernel, 0.0, _trunc_upper(k, sigma), epsabs=0.0, epsrel=1e-12, limit=300
-    ) / math.factorial(k - 2)
+    # Independent quadrature of the same integral in v = u/sigma, the
+    # log-integrand's peak subtracted, truncated where the Gaussian underflows.
+    # Gauss-Kronrod nodes are interior, so the log never sees eta + sigma v = 0.
+    v0 = (math.sqrt(eta * eta + 4.0 * (k - 2) * sigma * sigma) - eta) / (2.0 * sigma)
+    peak = float(xlogy(k - 2, eta + sigma * v0)) - 0.5 * v0 * v0
+    integral = quad(
+        lambda v: math.exp((k - 2) * math.log(eta + sigma * v) - 0.5 * v * v - peak),
+        0.0, _trunc_upper(k, 1.0), epsabs=0.0, epsrel=1e-12, limit=300,
+    )
+    log_quad = float(np.logaddexp(poly, math.log(sigma * integral) + peak - math.lgamma(k - 1)))
 
-    if abs(inv_sum - inv_quad) > 1e-10 * abs(inv_sum):
+    if abs(log_sum - log_quad) > 1e-10:
         raise ArithmeticError(
             f"normalization forms disagree at k={k}, n={n}, eta={eta}: "
-            f"{inv_sum!r} (sum) vs {inv_quad!r} (quadrature)"
+            f"{-log_sum!r} (sum) vs {-log_quad!r} (quadrature), as log C"
         )
-    if not inv_sum > 1.0 / sys.float_info.max:
-        raise ArithmeticError(
-            f"normalization constant overflows a float at k={k}, n={n}, eta={eta}"
-        )
-    return 1.0 / inv_sum
+    return -log_sum
+
+
+def _log_c(p: AnalyticParams) -> float:
+    return _norm_const_cached(p.k, p.n, p.eta)
 
 
 def norm_const(p: AnalyticParams) -> float:
     """Normalization constant of the stationary gap construction.
 
-    Evaluated both as a finite sum (binomial expansion against half-integer
-    gamma values) and by direct quadrature; the two must agree to 1e-10
-    relative, and the constant must be a finite float, or an ArithmeticError
-    is raised.  k = 1 gives exactly 1, and its reciprocal laddering yields
-    every gap moment: ``E[T^j] = j! C_k / C_{k+j}``.
+    The constant is kept as its logarithm, evaluated both as a finite sum
+    (binomial expansion against half-integer gamma values, by log-sum-exp)
+    and by direct quadrature; the two must agree to 1e-10, or an
+    ArithmeticError is raised.  The laws in this module use the logarithm,
+    so no k is too large for them.  This returns ``exp(log C)``, and raises
+    an ArithmeticError when that is not a finite float.  k = 1 gives exactly
+    1, eta = 1 exactly ``(k-1)!``, and its reciprocal laddering yields every
+    gap moment: ``E[T^j] = j! C_k / C_{k+j}``.
     """
-    return _norm_const_cached(p.k, p.n, p.eta)
+    try:
+        return float(math.factorial(p.k - 1)) if p.eta == 1.0 else math.exp(_log_c(p))
+    except OverflowError:
+        raise ArithmeticError(
+            f"normalization constant overflows a float at k={p.k}, n={p.n}, eta={p.eta}"
+        ) from None
 
 
 def joint_density(t_vec, p: AnalyticParams) -> float:
@@ -262,10 +266,9 @@ def joint_density(t_vec, p: AnalyticParams) -> float:
     if t.shape != (p.k - 1,):
         raise ValueError(f"need exactly k-1={p.k - 1} coordinates, got shape {t.shape}")
     s = float(t.sum())
-    c = norm_const(p)
     if p.eta == 1.0:
-        return c if s < 1.0 else 0.0
-    return c * _sf_T1(s, p)
+        return math.exp(_log_c(p)) if s < 1.0 else 0.0
+    return math.exp(_log_c(p) + _log_sf_T1(s, p))
 
 
 def sigma_density(s: float, p: AnalyticParams) -> float:
@@ -275,10 +278,10 @@ def sigma_density(s: float, p: AnalyticParams) -> float:
         raise ValueError(f"gap-sum density needs k >= 2, got k={p.k}")
     if not s >= 0:
         raise ValueError(f"s must be >= 0 and not NaN, got {s}")
-    c = norm_const(p) / math.factorial(p.k - 2)
+    log_g = _log_c(p) - math.lgamma(p.k - 1) + xlogy(p.k - 2, s)
     if p.eta == 1.0:
-        return c * s ** (p.k - 2) if s < 1.0 else 0.0
-    return c * s ** (p.k - 2) * _sf_T1(s, p)
+        return math.exp(log_g) if s < 1.0 else 0.0
+    return math.exp(log_g + _log_sf_T1(s, p))
 
 
 def _gap_law(t, p: AnalyticParams, density: bool):
@@ -288,18 +291,19 @@ def _gap_law(t, p: AnalyticParams, density: bool):
         raise ValueError("gap law is degenerate at eta=1; no density or continuous CDF")
     arr = _t_array(t)
     lo = np.maximum(0.0, p.eta - arr.ravel())
+    log_c = _log_c(p) - math.lgamma(p.k - 1)  # of C/(k-2)!
 
-    def kernel(s, tt):
-        g = s ** (p.k - 2) * _sf_T1(s + tt, p)
+    def kernel(s, tt):  # s > lo >= 0 at every node of the rule
+        g = np.exp(log_c + (p.k - 2) * np.log(s) + _log_sf_T1(s + tt, p))
         return (s + tt - p.eta) * g if density else g
 
     width = _trunc_upper(p.k, math.sqrt((1.0 - p.eta) / p.n))
     integral = fixed_quad(kernel, arr.ravel(), lo, width)
-    c = norm_const(p) / math.factorial(p.k - 2)
     if density:
-        vals = c * p.n / (1.0 - p.eta) * integral
+        vals = p.n / (1.0 - p.eta) * integral
     else:  # plus the exact polynomial piece below lo, where the survival is 1
-        vals = np.clip(1.0 - c * (lo ** (p.k - 1) / (p.k - 1) + integral), 0.0, 1.0)
+        below = np.exp(log_c + xlogy(p.k - 1, lo) - math.log(p.k - 1))  # C/(k-2)! lo^(k-1)/(k-1)
+        vals = np.clip(1.0 - below - integral, 0.0, 1.0)
     return vals.reshape(arr.shape) if np.ndim(t) else float(vals[0])
 
 
@@ -327,8 +331,7 @@ def moment_T(j: int, p: AnalyticParams) -> float:
         raise ValueError(f"j must be >= 0, got {j}")
     if j == 0:
         return 1.0
-    p_up = replace(p, k=p.k + j)
-    return math.factorial(j) * norm_const(p) / norm_const(p_up)
+    return math.factorial(j) * math.exp(_log_c(p) - _log_c(replace(p, k=p.k + j)))
 
 
 def moment_T_closed_eta0(j: int, p: AnalyticParams) -> float:
@@ -357,7 +360,7 @@ def mean_N(p: AnalyticParams) -> float:
     For eta > 0 this is strictly below k/eta and increases toward it with
     the cell size.
     """
-    return norm_const(replace(p, k=p.k + 1)) / norm_const(p)
+    return math.exp(_log_c(replace(p, k=p.k + 1)) - _log_c(p))
 
 
 def mean_N_asymptotic(p: AnalyticParams) -> float:

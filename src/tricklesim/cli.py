@@ -121,13 +121,6 @@ class ExperimentSpec:
         for k in self.k:
             if k < 1:
                 raise SpecError(f"k must be >= 1, got {k}")
-        # norm_const is evaluated up to k+3 by the moments of the analytic
-        # table, up to k+1 by the multicell estimate.
-        reach = {"analytic": 3, "compare": 0, "multicell": 1}.get(self.mode)
-        if reach is not None and max(self.k) + reach > an.NORM_CONST_MAX_K:
-            raise SpecError(
-                f"mode {self.mode} needs k <= {an.NORM_CONST_MAX_K - reach}, got {max(self.k)}"
-            )
         for n in self.n:
             if n < 1:
                 raise SpecError(f"n must be >= 1, got {n}")

@@ -20,8 +20,9 @@ __all__ = ["QuadratureError", "quad", "fixed_quad"]
 EPSABS = 1e-10
 EPSREL = 1e-8
 
-# The fixed rule on [0, 1]: 16 panels of 16 Gauss-Legendre nodes, the smallest
-# size that holds the gap law to 1e-14 of adaptive quadrature for k = 2..147
+# The fixed rule on [0, 1]: 16 panels of 16 Gauss-Legendre nodes.  Against
+# log-scaled adaptive quadrature at n = 20..2000 it holds the gap law to 5e-13
+# for k <= 300 (tested), 1e-11 at k = 500 and 1.6e-8 at k = 1000, eta = 0
 # (32 x 20 took 26 MB on a 1,025-point grid; 64 rows a block stay under 1 MB).
 _PANELS, _NODES, _ROW_BLOCK = 16, 16, 64
 _X, _W = np.polynomial.legendre.leggauss(_NODES)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import erfc
+from scipy.special import erfc, xlogy
 
 from tricklesim import analytics as an
 from tricklesim.quadrature import quad
@@ -132,8 +132,6 @@ def test_norm_const_degenerate_cases():
     for k in (2, 3, 6):
         got = an.norm_const(an.AnalyticParams(k=k, n=11, eta=1.0))
         assert got == math.factorial(k - 1)
-    with pytest.raises(ValueError):
-        an.norm_const(an.AnalyticParams(k=151, n=10, eta=0.0))
 
 
 @pytest.mark.parametrize("k,n,eta", [(147, 2000, 0.3), (140, 2000, 0.0), (147, 2000, 0.0)])
@@ -154,7 +152,8 @@ def test_norm_const_eta0_closed_form():
 
 def test_norm_const_is_reciprocal_of_sigma_integral():
     # C is defined so that the gap-sum density integrates to one
-    for k, eta in ((2, 0.0), (3, 0.5), (5, 0.25), (8, 0.5)):
+    # at k=200 and 300, log C is 752 and 1151: C itself is not a float there
+    for k, eta in ((2, 0.0), (3, 0.5), (5, 0.25), (8, 0.5), (200, 0.5), (300, 0.0)):
         p = an.AnalyticParams(k=k, n=20, eta=eta)
         total = quad(lambda s: an.sigma_density(s, p), 0.0, 6.0)
         assert total == pytest.approx(1.0, abs=1e-9), (k, eta)
@@ -192,6 +191,17 @@ def test_joint_density_flat_inside_listen_window():
     c = an.norm_const(p)
     assert an.joint_density([0.1, 0.2], p) == pytest.approx(c, rel=1e-15)
     assert an.joint_density([0.0, 0.0], p) == pytest.approx(c, rel=1e-15)
+
+
+def test_joint_density_past_float_range():
+    # C is e^752 here; the density is a float where C * sf_1(s) is, and
+    # spread over the simplex of volume s^(k-2)/(k-2)! it is sigma_density
+    k = 200
+    p = an.AnalyticParams(k=k, n=20, eta=0.5)
+    t = np.full(k - 1, 6.6 / (k - 1))
+    s = float(t.sum())
+    want = an.sigma_density(s, p) * math.exp(math.lgamma(k - 1) - (k - 2) * math.log(s))
+    assert 0.0 < an.joint_density(t, p) == pytest.approx(want, rel=1e-11)
 
 
 def test_pdf_T_normalizes_and_matches_cdf():
@@ -254,28 +264,46 @@ def test_gap_law_grid_memory():
         assert peak < 1e6, (law.__name__, peak)
 
 
+def log_integral(log_f, a: float, b: float) -> float:
+    """log of the integral of exp(log_f) over [a, b] by adaptive quadrature,
+    the integrand divided by its largest value on an interior grid."""
+    top = max(log_f(x) for x in np.linspace(a, b, 203)[1:-1].tolist())
+    val = integrate.quad(lambda x: math.exp(log_f(x) - top), a, b, epsabs=0.0, epsrel=1e-13,
+                         limit=400)[0]
+    return top + math.log(val)
+
+
 def adaptive_gap_law(t: float, p: an.AnalyticParams) -> tuple[float, float]:
-    """(cdf, pdf) of the general-k gap law at `t` by adaptive quadrature, with
-    absolute tolerances that bound the returned values (1e-12)."""
+    """(cdf, pdf) of the general-k gap law at `t` by adaptive quadrature in
+    the scaled variable x = s/sigma, every integral kept as its logarithm and
+    normalized by its own integral of the defining one, (k-2)!/C =
+    eta^(k-1)/(k-1) + sigma int (eta + sigma x)^(k-2) e^(-x^2/2) dx; it does not
+    use `norm_const` or its finite sum."""
     eta, n, k = p.eta, p.n, p.k
-    rate = n / (1.0 - eta)
-    lo = max(0.0, eta - t)
-    hi = lo + (12.0 + 3.0 * math.sqrt(k)) * math.sqrt((1.0 - eta) / n)
-    c = an.norm_const(p) / math.factorial(k - 2)
+    sigma = math.sqrt((1.0 - eta) / n)
+    width = 20.0 + 4.0 * math.sqrt(k)  # past each integrand's peak by 20 of its sds
+    log_norm = np.logaddexp(
+        xlogy(k - 1, eta) - math.log(k - 1),
+        math.log(sigma)
+        + log_integral(lambda x: (k - 2) * math.log(eta + sigma * x) - 0.5 * x * x, 0.0, width),
+    )
+    a, w = max(0.0, eta - t) / sigma, (t - eta) / sigma
 
-    def kernel(s: float) -> float:
-        return s ** (k - 2) * math.exp(-0.5 * rate * (s + t - eta) ** 2)
+    def log_g(x: float) -> float:  # s^(k-2) sf_1(s + t) at s = sigma x, over sigma^(k-2)
+        return (k - 2) * math.log(x) - 0.5 * (x + w) ** 2
 
-    tail = quad(kernel, lo, hi, epsabs=1e-12 / c, epsrel=1e-10, limit=300)
-    dens = quad(lambda s: (s + t - eta) * kernel(s), lo, hi,
-                epsabs=1e-12 / (c * rate), epsrel=1e-10, limit=300)
-    return min(1.0, max(0.0, 1.0 - c * (lo ** (k - 1) / (k - 1) + tail))), c * rate * dens
+    log_tail = (k - 1) * math.log(sigma) + log_integral(log_g, a, a + width)
+    log_dens = (k - 2) * math.log(sigma) + log_integral(
+        lambda x: log_g(x) + math.log(x + w), a, a + width)
+    below = xlogy(k - 1, a * sigma) - math.log(k - 1)  # log(lo^(k-1)/(k-1))
+    cdf = 1.0 - math.exp(np.logaddexp(below, log_tail) - log_norm)
+    return min(1.0, max(0.0, cdf)), math.exp(log_dens - log_norm)
 
 
 @pytest.mark.parametrize("eta", [0.25, 0.5, 0.75, 0.9])
-@pytest.mark.parametrize("k", [2, 3, 8, 100, 147])
+@pytest.mark.parametrize("k", [2, 3, 8, 100, 147, 200, 300])
 def test_gap_law_matches_adaptive_quadrature(k, eta):
-    for n in (20, 200):
+    for n in (20, 200, 2000):
         p = an.AnalyticParams(k=k, n=n, eta=eta)
         m1, m2 = an.moment_T(1, p), an.moment_T(2, p)
         grid = np.linspace(0.0, m1 + 6.0 * math.sqrt(m2 - m1 * m1), 25)
@@ -283,7 +311,7 @@ def test_gap_law_matches_adaptive_quadrature(k, eta):
         for t, F, f in zip(grid.tolist(), cdf, pdf):
             ref_cdf, ref_pdf = adaptive_gap_law(t, p)
             assert F == pytest.approx(ref_cdf, rel=0, abs=1e-12), (n, t)
-            # the oracle's own absolute tolerance floors the relative bound
+            # densities below 1e-12 are compared absolutely
             assert f == pytest.approx(ref_pdf, rel=1e-10, abs=1e-12), (n, t)
 
 
