@@ -278,6 +278,7 @@ def sigma_density(s: float, p: AnalyticParams) -> float:
         raise ValueError(f"gap-sum density needs k >= 2, got k={p.k}")
     if not s >= 0:
         raise ValueError(f"s must be >= 0 and not NaN, got {s}")
+    s = min(s, 1e100)  # as in `_t_array`: the density is exactly 0 there
     log_g = _log_c(p) - math.lgamma(p.k - 1) + xlogy(p.k - 2, s)
     if p.eta == 1.0:
         return math.exp(log_g) if s < 1.0 else 0.0

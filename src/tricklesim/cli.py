@@ -49,7 +49,7 @@ from scipy.interpolate import PchipInterpolator
 from . import analytics as an
 from . import residual as rm
 from .core import TrickleConfig
-from .csvio import fmt_value, version_string, write_csv
+from .csvio import fmt_value, version_string, write_csv, write_float_groups
 from .engine import SimRunConfig, replicate
 from .topology import Grid, SingleCell, cell_size
 from .quadrature import QuadratureError
@@ -274,20 +274,6 @@ def _ks_statistic(sample, cdf) -> float:
 # --------------------------------------------------------------------------
 # subcommands
 
-# Gaps converted to Python floats at a time while the gaps CSV is written.
-_ROW_BLOCK = 4096
-
-
-def _gap_rows(gaps):
-    """The gaps CSV's rows, formatted one gap at a time from each
-    combination's (formatted k, n and eta cells, gaps array) pair, so no
-    per-gap object outlives its row."""
-    for cells, values in gaps:
-        for start in range(0, values.size, _ROW_BLOCK):
-            for g in values[start:start + _ROW_BLOCK].tolist():
-                yield [*cells, format(g, ".17g")]
-
-
 def cmd_simulate(spec: ExperimentSpec) -> int:
     count_rows, gaps = [], []
     for k in spec.k:
@@ -297,7 +283,7 @@ def cmd_simulate(spec: ExperimentSpec) -> int:
                 count_rows.append(
                     (k, n, eta, cell.mean, cell.std, cell.ci_halfwidth, spec.replications)
                 )
-                gaps.append(([fmt_value(k), fmt_value(n), fmt_value(eta)], cell.gaps))
+                gaps.append(((k, n, eta), cell.gaps))
                 print(
                     f"simulate k={k} n={n} eta={eta:g}: "
                     f"mean {cell.mean:.5g} +- {cell.ci_halfwidth:.3g}"
@@ -309,8 +295,8 @@ def cmd_simulate(spec: ExperimentSpec) -> int:
         count_rows,
         spec.comment(),
     )
-    write_csv(
-        out / f"{spec.name}_gaps.csv", ["k", "n", "eta", "gap"], _gap_rows(gaps), spec.comment()
+    write_float_groups(
+        out / f"{spec.name}_gaps.csv", ["k", "n", "eta", "gap"], gaps, spec.comment()
     )
     return 0
 

@@ -163,6 +163,8 @@ def test_sigma_density_rejects_nan():
     for eta in (0.0, 0.5, 1.0):
         with pytest.raises(ValueError, match="NaN"):
             an.sigma_density(math.nan, an.AnalyticParams(k=3, n=20, eta=eta))
+        for k in (2, 3, 5):  # inf is a valid s, where the density is 0
+            assert an.sigma_density(math.inf, an.AnalyticParams(k=k, n=20, eta=eta)) == 0.0
 
 
 # --------------------------------------------------------------------------

@@ -4,12 +4,16 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 from scipy import stats
 
 from tricklesim import analytics as an
@@ -415,32 +419,85 @@ def test_rerun_is_byte_identical(tmp_path):
 # (before the gaps CSV was streamed): C11's simulate and multicell commands.
 # det_theta.csv was re-pinned when the normalization constant became a
 # logarithm: the R=1 row's estimate and theta each moved by one ulp.
+# simulate_blocks, pinned at commit f5d3d84 (before the gaps CSV was written
+# a block at a time), has at least three blocks of gaps per combination.
 PINNED_CSV = {
     "simulate": (
-        ["--k", "1,2", "--n", "10", "--eta", "0,0.5", "--replications", "2", "--duration", "14"],
+        ["simulate", "--k", "1,2", "--n", "10", "--eta", "0,0.5", "--replications", "2",
+         "--duration", "14"],
         {
             "det_counts.csv": "e06f014ac23df3dcf222a52e0260f3e1093faf0aa76599885b2969202d963e47",
             "det_gaps.csv": "8113a45188090429c8cd778157c0f26e9a44aaa8139d6fafc97f61ef180319b9",
         },
     ),
+    "simulate_blocks": (
+        ["simulate", "--k", "1,3", "--n", "40", "--eta", "0,0.5", "--replications", "6",
+         "--duration", "400"],
+        {
+            "det_counts.csv": "f0a2d9ab80c96faa0aa9bad94ee6900b29e2ca312f5b21c59e1e411beffa9bf0",
+            "det_gaps.csv": "397845a5893621c11369e11a7994072eb083816e87bd5b3f1b5641e408356898",
+        },
+    ),
     "multicell": (
-        ["--k", "1", "--side", "8", "--range", "1,1.5", "--eta", "0", "--replications", "1",
-         "--duration", "14"],
+        ["multicell", "--k", "1", "--side", "8", "--range", "1,1.5", "--eta", "0",
+         "--replications", "1", "--duration", "14"],
         {"det_theta.csv": "3d36be12ec739069b7815c79673bcfdf8cc1cce78da01378cd015b747ef0746e"},
     ),
 }
 
 
-@pytest.mark.parametrize("mode", sorted(PINNED_CSV))
-def test_csv_bytes_match_pinned_digests(tmp_path, mode):
-    args, digests = PINNED_CSV[mode]
-    assert run_cli(mode, *args, "--seed", "7", "--name", "det", "--out", str(tmp_path)) == 0
+@pytest.mark.parametrize("case", sorted(PINNED_CSV))
+def test_csv_bytes_match_pinned_digests(tmp_path, case):
+    args, digests = PINNED_CSV[case]
+    assert run_cli(*args, "--seed", "7", "--name", "det", "--out", str(tmp_path)) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(digests)
     for name, digest in digests.items():
         data = (tmp_path / name).read_bytes()
         assert data.startswith(b"# spec: ")
         body = data[data.index(b"\n") + 1:]
         assert hashlib.sha256(body).hexdigest() == digest, name
+    if case == "simulate_blocks":
+        with open(tmp_path / "det_gaps.csv") as f:
+            per_combination = Counter(line.rsplit(",", 1)[0] for line in list(f)[2:])
+        assert len(per_combination) == 4
+        assert min(per_combination.values()) >= 3 * csvio._FLOAT_BLOCK
+
+
+# Gaps at the edges of the float range and of "%.17g": zero, the least
+# subnormal, the least normal, whole values (written without a point), huge.
+_EDGE_GAPS = [0.0, 5e-324, 2.2250738585072014e-308, 1.0, 3.0, 1e300]
+_BLOCK_SIZES = [0, 1, csvio._FLOAT_BLOCK - 1, csvio._FLOAT_BLOCK, csvio._FLOAT_BLOCK + 1,
+                3 * csvio._FLOAT_BLOCK + 7]
+
+
+@hs.composite
+def float_groups(draw):
+    """(cells, gaps) groups: int, float and text cells (text that csv must
+    quote, or with a "%"), gaps tiled from a drawn pool to a length at or
+    around a block edge."""
+    cell = hs.one_of(hs.integers(0, 10**6), hs.floats(0.0, 1.0), hs.just(0.1),
+                     hs.text(alphabet=',"%a\n', max_size=4))
+    gap = hs.one_of(hs.sampled_from(_EDGE_GAPS),
+                    hs.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+    groups = []
+    for _ in range(draw(hs.integers(1, 3))):
+        cells = tuple(draw(hs.lists(cell, max_size=3)))
+        pool = np.array(draw(hs.lists(gap, min_size=1, max_size=20)))
+        groups.append((cells, np.resize(pool, draw(hs.sampled_from(_BLOCK_SIZES)))))
+    return groups
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(float_groups())
+@example([((1, 40, 0.1), np.resize(_EDGE_GAPS, size)) for size in _BLOCK_SIZES])
+def test_float_groups_bytes_equal_csv_writer(groups):
+    header = ["k", "n", "eta", "gap"]
+    rows = [(*cells, g) for cells, values in groups for g in values.tolist()]
+    with tempfile.TemporaryDirectory() as tmp:
+        blocks, writer = Path(tmp) / "blocks.csv", Path(tmp) / "writer.csv"
+        csvio.write_float_groups(blocks, header, groups, "spec: x")
+        csvio.write_csv(writer, header, rows, "spec: x")
+        assert blocks.read_bytes() == writer.read_bytes()
 
 
 def test_simulate_gap_memory_per_gap(tmp_path):
