@@ -442,9 +442,8 @@ _GRID_STEP = 512
 def _pairs(rows: np.ndarray, nodes: np.ndarray, flag: np.ndarray, index: np.ndarray):
     """Every (r, q) with ``nodes[q]`` in ``rows[r]``, by one gather of
     ``rows`` through ``flag``.  ``flag`` and ``index`` are node-indexed
-    work arrays; ``flag`` is False everywhere (the padding id included)
-    and is left so.  A node listed more than once in ``nodes`` is matched
-    in further rounds."""
+    work arrays; ``flag`` is False everywhere and is left so.  A node
+    listed more than once in ``nodes`` is matched in further rounds."""
     width = rows.shape[1]
     flat = rows.ravel()
     out_r, out_q = [], []
@@ -508,10 +507,10 @@ class _GridSweep:
       ``k``; one whose interval starts inside the step has heard 0 so far;
     * the fires left are resolved together: each adds the earlier ones of
       the step that transmitted, are its neighbors and lie at or after its
-      ``lo``.  Those pairs come from one gather of the padded neighbor
-      matrix, and as they all point backwards, re-deciding every fire from
-      "all transmit" settles on the exact answer within as many rounds as
-      the longest chain of pairs;
+      ``lo``.  Those pairs come from one gather of the neighbor table,
+      and as they all point backwards, re-deciding every fire from "all
+      transmit" settles on the exact answer within as many rounds as the
+      longest chain of pairs;
     * the starts whose ``lo`` falls in the step get their ``base``:
       ``heard`` before the step plus the step's transmissions ahead of
       ``lo`` that the node hears; then ``heard`` takes the step's
@@ -523,17 +522,12 @@ class _GridSweep:
     """
 
     def __init__(self, grid, n: int, k: int):
-        table = neighbor_table(grid)
-        sizes = np.fromiter((a.size for a in table), dtype=np.intp, count=n)
-        # Rows padded with node id n, which no node is; the node-indexed
-        # arrays have an entry for it that is never read.
-        self.nbr = np.full((n, int(sizes.max())), n, dtype=np.intp)
-        self.nbr[np.arange(self.nbr.shape[1]) < sizes[:, None]] = _joined(table, np.intp)
+        self.nbr = neighbor_table(grid)
         self.k = k
-        self.heard = np.zeros(n + 1, dtype=np.intp)
-        self.base = np.zeros(n + 1, dtype=np.intp)
-        self.flag = np.zeros(n + 1, dtype=bool)
-        self.index = np.zeros(n + 1, dtype=np.intp)
+        self.heard = np.zeros(n, dtype=np.intp)
+        self.base = np.zeros(n, dtype=np.intp)
+        self.flag = np.zeros(n, dtype=bool)
+        self.index = np.zeros(n, dtype=np.intp)
         self.done = 0
         self.carry_lo = np.empty((n, 0), dtype=np.intp)
 

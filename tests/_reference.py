@@ -37,7 +37,7 @@ def reference_run(config: SimRunConfig):
     if isinstance(config.topology, SingleCell):
         hearers = [[h for h in range(n) if h != i] for i in range(n)]
     else:
-        hearers = [a.tolist() for a in neighbor_table(config.topology)]
+        hearers = neighbor_table(config.topology).tolist()
 
     rngs = [
         np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,)))

@@ -264,14 +264,29 @@ def test_compare_pass_and_fail(tmp_path):
 
 
 def test_compare_flags_single_node_out_of_model(tmp_path):
+    # k > 2(n - 1): no node hears k transmissions before it fires; n = 1
+    # is the case where it hears none
+    for k, n in ((1, 1), (3, 2), (151, 20)):
+        out = tmp_path / f"k{k}_n{n}"
+        code = run_cli(
+            "compare", "--k", str(k), "--n", str(n), "--eta", "0", "--replications", "3",
+            "--duration", "40", "--seed", "7", "--out", str(out), "--name", "c",
+        )
+        assert code == 0  # out-of-model rows never fail the run
+        _, _, rows = read_csv(out / "c_compare.csv")
+        assert rows[0][6] == "out-of-model"
+        assert float(rows[0][4]) > 0.05
+
+
+def test_compare_keeps_status_at_suppression_bound(tmp_path):
+    # k = 2(n - 1): a node that heard both fires of the other is suppressed
     code = run_cli(
-        "compare", "--k", "1", "--n", "1", "--eta", "0", "--replications", "3",
-        "--duration", "40", "--out", str(tmp_path), "--name", "c",
+        "compare", "--k", "2", "--n", "2", "--eta", "0", "--replications", "3",
+        "--duration", "40", "--seed", "7", "--out", str(tmp_path), "--name", "c",
     )
-    assert code == 0  # out-of-model rows never fail the run
     _, _, rows = read_csv(tmp_path / "c_compare.csv")
-    assert rows[0][6] == "out-of-model"
-    assert float(rows[0][4]) > 0.05
+    assert rows[0][6] in ("pass", "fail")
+    assert code == (1 if rows[0][6] == "fail" else 0)
 
 
 def test_multicell_theta_table(tmp_path):
