@@ -23,7 +23,7 @@ from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
-from scipy.special import erfc, gammaln, xlogy
+import scipy
 
 from .quadrature import fixed_quad, quad
 from .residual import LifetimeDistribution, shifted_rayleigh
@@ -96,7 +96,7 @@ class GridParams:
 
 def _gamma_ratio(a: float, b: float) -> float:
     """Gamma(a)/Gamma(b) via the log-gamma difference (no overflow)."""
-    return math.exp(gammaln(a) - gammaln(b))
+    return math.exp(scipy.special.gammaln(a) - scipy.special.gammaln(b))
 
 
 def _t_array(t) -> np.ndarray:
@@ -199,14 +199,15 @@ def _norm_const_cached(k: int, n: int, eta: float) -> float:
         return math.lgamma(k)
 
     sigma = math.sqrt((1.0 - eta) / n)
-    poly = xlogy(k - 1, eta) - math.lgamma(k)
+    poly = scipy.special.xlogy(k - 1, eta) - math.lgamma(k)
 
     # Finite-sum form of the defining integral, by log-sum-exp: the binomial
     # expansion of (eta+u)^(k-2) against half-integer gamma values.
     i = np.arange(k - 1)
     terms = (
-        xlogy(k - 2 - i, eta) + 0.5 * (i + 1) * math.log(2.0 * sigma * sigma)
-        + gammaln(0.5 * (i + 1)) - gammaln(i + 1) - gammaln(k - 1 - i) - math.log(2.0)
+        scipy.special.xlogy(k - 2 - i, eta) + 0.5 * (i + 1) * math.log(2.0 * sigma * sigma)
+        + scipy.special.gammaln(0.5 * (i + 1)) - scipy.special.gammaln(i + 1)
+        - scipy.special.gammaln(k - 1 - i) - math.log(2.0)
     )
     top = max(terms.max(), poly)
     log_sum = float(top + math.log(np.exp(terms - top).sum() + math.exp(poly - top)))
@@ -215,7 +216,7 @@ def _norm_const_cached(k: int, n: int, eta: float) -> float:
     # log-integrand's peak subtracted, truncated where the Gaussian underflows.
     # Gauss-Kronrod nodes are interior, so the log never sees eta + sigma v = 0.
     v0 = (math.sqrt(eta * eta + 4.0 * (k - 2) * sigma * sigma) - eta) / (2.0 * sigma)
-    peak = float(xlogy(k - 2, eta + sigma * v0)) - 0.5 * v0 * v0
+    peak = float(scipy.special.xlogy(k - 2, eta + sigma * v0)) - 0.5 * v0 * v0
     integral = quad(
         lambda v: math.exp((k - 2) * math.log(eta + sigma * v) - 0.5 * v * v - peak),
         0.0, _trunc_upper(k, 1.0), epsabs=0.0, epsrel=1e-12, limit=300,
@@ -279,7 +280,7 @@ def sigma_density(s: float, p: AnalyticParams) -> float:
     if not s >= 0:
         raise ValueError(f"s must be >= 0 and not NaN, got {s}")
     s = min(s, 1e100)  # as in `_t_array`: the density is exactly 0 there
-    log_g = _log_c(p) - math.lgamma(p.k - 1) + xlogy(p.k - 2, s)
+    log_g = _log_c(p) - math.lgamma(p.k - 1) + scipy.special.xlogy(p.k - 2, s)
     if p.eta == 1.0:
         return math.exp(log_g) if s < 1.0 else 0.0
     return math.exp(log_g + _log_sf_T1(s, p))
@@ -303,7 +304,8 @@ def _gap_law(t, p: AnalyticParams, density: bool):
     if density:
         vals = p.n / (1.0 - p.eta) * integral
     else:  # plus the exact polynomial piece below lo, where the survival is 1
-        below = np.exp(log_c + xlogy(p.k - 1, lo) - math.log(p.k - 1))  # C/(k-2)! lo^(k-1)/(k-1)
+        # below = C/(k-2)! lo^(k-1)/(k-1)
+        below = np.exp(log_c + scipy.special.xlogy(p.k - 1, lo) - math.log(p.k - 1))
         vals = np.clip(1.0 - below - integral, 0.0, 1.0)
     return vals.reshape(arr.shape) if np.ndim(t) else float(vals[0])
 
@@ -398,7 +400,7 @@ def _limit_eta0_closed(t: np.ndarray, k: int) -> np.ndarray:
     f2 = 2.0 / math.sqrt(math.pi) * np.exp(-(t**2))
     if k == 2:
         return f2
-    f3 = math.sqrt(math.pi) * erfc(t)
+    f3 = math.sqrt(math.pi) * scipy.special.erfc(t)
     if k == 3:
         return f3
     prev2, prev1 = f2, f3
@@ -424,7 +426,7 @@ def limiting_pdf_eta0(t, k: int):
     vals = _limit_eta0_closed(arr, k)
     if k >= 4:
         integrand = lambda v, tt: (tt + v) * v ** (k - 2) * np.exp(-((tt + v) ** 2))
-        direct = 4.0 / math.exp(gammaln(0.5 * (k - 1))) * fixed_quad(
+        direct = 4.0 / math.exp(scipy.special.gammaln(0.5 * (k - 1))) * fixed_quad(
             integrand, arr.ravel(), np.zeros(arr.size), 12.0 + 2.0 * math.sqrt(k)
         )
         i = int(np.argmax(np.abs(direct - vals.ravel())))

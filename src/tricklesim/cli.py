@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+import scipy
 
 from . import analytics as an
 from . import residual as rm
@@ -52,7 +52,7 @@ from .core import TrickleConfig
 from .csvio import fmt_value, version_string, write_csv, write_float_groups
 from .engine import SimRunConfig, replicate
 from .topology import Grid, SingleCell, cell_size
-from .quadrature import QuadratureError
+from .quadrature import QuadratureError, quad
 
 __all__ = ["ExperimentSpec", "SpecError", "load_spec_file", "build_spec", "main"]
 
@@ -250,7 +250,7 @@ def _analytic_cdf_callable(p: an.AnalyticParams, tmax: float):
         return lambda t: an.cdf_T1(t, p)
     grid = np.linspace(0.0, max(tmax, 1e-9), 1025)
     vals = np.maximum.accumulate(an.cdf_T(grid, p))
-    interp = PchipInterpolator(grid, vals, extrapolate=False)
+    interp = scipy.interpolate.PchipInterpolator(grid, vals, extrapolate=False)
 
     def cdf(t):
         t = np.asarray(t, dtype=float)
@@ -435,8 +435,7 @@ def _markov_checks(seed: int):
 
     spec_e2 = rm.ChainSpec(rm.exponential(1.0), 2)
     mom = rm.stationary_moment(spec_e2, 2)
-    from .quadrature import quad as _q
-    tail = _q(lambda y: 2.0 * y * rm.stationary_sf(spec_e2, y), 0.0, math.inf)
+    tail = quad(lambda y: 2.0 * y * rm.stationary_sf(spec_e2, y), 0.0, math.inf)
     checks.append(("moment_vs_tail_quadrature", abs(mom - tail) / abs(mom), 1e-6))
 
     lt = rm.laplace_transform(spec_e2, [1.0, 2.0], verify=True, mc_samples=100_000, seed=seed)

@@ -6,6 +6,9 @@ tolerances (1e-10 absolute, 1e-8 relative) suit the distribution-level
 accuracy targets used across the package.  Semi-infinite ranges go through
 scipy's built-in variable transformation.  `fixed_quad` instead applies
 one fixed composite Gauss-Legendre rule to a whole array of integrals.
+
+`scipy.integrate` is loaded on the first `quad` call, not on import, so
+importing this module costs only numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy import integrate
+import scipy
 
 __all__ = ["QuadratureError", "quad", "fixed_quad"]
 
@@ -48,6 +51,8 @@ def quad(
     Raises QuadratureError instead of warning when the integrator cannot
     reach its tolerance or the value is not finite.
     """
+    # Loaded here, not under catch_warnings, whose exit drops the filters scipy sets on import.
+    integrate = scipy.integrate
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", integrate.IntegrationWarning)

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -563,6 +564,53 @@ def test_module_help_lists_every_flag(mode):
     flags = ["--" + key.replace("_", "-") for key, *_ in cli._SETTINGS]
     for flag in flags + ["--spec", "--profile"]:
         assert f"{flag} " in done.stdout, flag
+
+
+# In a fresh interpreter: import every tricklesim module and run `simulate`,
+# note which scipy submodules got loaded, then take the first-use paths.
+_FRESH_PROCESS = """
+import importlib, json, math, pkgutil, sys, warnings
+import tricklesim
+for mod in pkgutil.iter_modules(tricklesim.__path__):
+    importlib.import_module("tricklesim." + mod.name)
+from tricklesim import analytics as an, cli, quadrature
+code = cli.main(["simulate", "--k", "1,2", "--n", "10", "--eta", "0.5", "--replications", "2",
+                 "--duration", "15", "--out", sys.argv[1], "--name", "fresh"])
+loaded = [m for m in sys.argv[2:] if m in sys.modules]
+try:  # scipy.integrate loads inside this call
+    quadrature.quad(lambda t: 1.0 / (1.0 + t), 0.0, math.inf)
+    error = None
+except quadrature.QuadratureError as exc:
+    error = type(exc).__name__
+p = an.AnalyticParams(k=2, n=20, eta=0.5)
+print(json.dumps({"code": code, "loaded": loaded, "error": error,
+                  "cdf": repr(an.cdf_T(0.3, p)), "pdf": repr(an.pdf_T(0.3, p)),
+                  "filters": [repr(f) for f in warnings.filters]}))
+"""
+
+
+def test_simulate_loads_no_scipy_and_first_use_works(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    lazy = ["scipy.special", "scipy.integrate", "scipy.interpolate", "scipy.stats"]
+    # the warning filters scipy adds on import, from a plain import run alongside
+    with subprocess.Popen(
+        [sys.executable, "-c", "import json, warnings, scipy.integrate; "
+         "print(json.dumps([repr(f) for f in warnings.filters]))"],
+        stdout=subprocess.PIPE, text=True, env=env,
+    ) as eager:
+        done = subprocess.run([sys.executable, "-c", _FRESH_PROCESS, str(tmp_path), *lazy],
+                              capture_output=True, text=True, env=env, timeout=60)
+        scipy_filters = set(json.loads(eager.communicate(timeout=60)[0]))
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout.splitlines()[-1])  # after simulate's summary lines
+    assert got["code"] == 0 and (tmp_path / "fresh_gaps.csv").exists()
+    assert got["loaded"] == []
+    assert got["error"] == "QuadratureError"
+    p = an.AnalyticParams(k=2, n=20, eta=0.5)
+    assert got["cdf"] == repr(an.cdf_T(0.3, p))
+    assert got["pdf"] == repr(an.pdf_T(0.3, p))
+    # loading scipy inside `quad` keeps those filters
+    assert scipy_filters <= set(got["filters"])
 
 
 # --------------------------------------------------------------------------
