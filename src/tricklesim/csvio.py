@@ -27,8 +27,6 @@ def fmt_value(x) -> str:
     (enough to round-trip a double exactly)."""
     if isinstance(x, str):
         return x
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
@@ -56,14 +54,13 @@ def version_string() -> str:
 
 
 @contextmanager
-def _table(path, header: Sequence[str], comment: str | None):
-    """`path` opened for writing, its optional ``#`` comment line (used to
-    record the generating spec and version) and header already written."""
+def _table(path, header: Sequence[str], comment: str):
+    """`path` opened for writing, its ``#`` comment line (the generating
+    spec and version) and header already written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
-        if comment is not None:
-            f.write(f"# {comment}\n")
+        f.write(f"# {comment}\n")
         csv.writer(f).writerow(header)
         yield f
 
@@ -72,9 +69,10 @@ def write_csv(
     path,
     header: Sequence[str],
     rows: Iterable[Sequence],
-    comment: str | None = None,
+    comment: str,
 ) -> None:
-    """Write rows, each cell formatted by `fmt_value`, under a header line."""
+    """Write rows, each cell formatted by `fmt_value`, under the comment and
+    header lines."""
     with _table(path, header, comment) as f:
         csv.writer(f).writerows([fmt_value(x) for x in row] for row in rows)
 
@@ -83,7 +81,7 @@ def write_float_groups(
     path,
     header: Sequence[str],
     groups: Iterable[tuple[Sequence, np.ndarray]],
-    comment: str | None = None,
+    comment: str,
 ) -> None:
     """Write one row per float in each (cells, values) group: the cells,
     then the float.  The bytes are those `write_csv` writes for the same

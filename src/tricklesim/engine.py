@@ -106,7 +106,6 @@ class SimRunConfig:
     warmup: float = 10.0
     seed: int = 0
     skew: Skew = Skew.UNIFORM_RANDOM
-    record_attempts: bool = False
 
     def __post_init__(self) -> None:
         if not self.duration > self.warmup or not isfinite(self.duration):
@@ -137,8 +136,6 @@ class SimStats:
         first one.
     per_node_counts : dict
         node id -> number of transmissions (every node has an entry).
-    attempt_times : ndarray or None
-        All timer fires (suppressed or not), when recording was requested.
     """
 
     config: SimRunConfig
@@ -148,7 +145,6 @@ class SimStats:
     per_interval_counts: np.ndarray
     per_node_counts: dict[int, int]
     first_window: int
-    attempt_times: np.ndarray | None = None
 
     @property
     def total_transmissions(self) -> int:
@@ -339,7 +335,7 @@ def _time_order(t: np.ndarray) -> np.ndarray:
 
 
 def _run_chunks(config: SimRunConfig, n: int, sweep):
-    """Transmission times and nodes, and attempt times, of a run.
+    """Transmission times and nodes of a run.
 
     A chunk is laid out as the last two columns of the previous window,
     carried over, followed by the window's own: only those two can hold a
@@ -359,7 +355,7 @@ def _run_chunks(config: SimRunConfig, n: int, sweep):
     # the carried columns: fire times and interval indices
     carry, carry_j = np.empty((n, 0)), np.empty(0, dtype=np.intp)
     prev_bound = -np.inf
-    tx_t, tx_i, attempts = [], [], []
+    tx_t, tx_i = [], []
     for bound, j, fires in _interval_chunks(config, rngs, s):
         layout = np.concatenate([carry, fires], axis=1).ravel()
         cols = np.concatenate([carry_j, j])
@@ -370,13 +366,11 @@ def _run_chunks(config: SimRunConfig, n: int, sweep):
         tx = sweep(t, node, now, s[:, None] + tau * cols)
         tx_t.append(t[tx])
         tx_i.append(node[tx])
-        if config.record_attempts:
-            attempts.append(t[t > config.warmup])
         carry, carry_j = fires[:, -2:].copy(), j[-2:]
         prev_bound = bound
         # drop this chunk's arrays before the next one is built
         del layout, live, now, t, node, fires
-    return _joined(tx_t, np.float64), _joined(tx_i, np.intp), _joined(attempts, np.float64)
+    return _joined(tx_t, np.float64), _joined(tx_i, np.intp)
 
 
 # Fewest fires scanned per vectorized step of the single-cell sweep.
@@ -620,7 +614,7 @@ def run(config: SimRunConfig) -> SimStats:
         sweep = _CellSweep(k)
     else:
         sweep = _GridSweep(config.topology, n, k)
-    tx_times, tx_nodes, attempts = _run_chunks(config, n, sweep)
+    tx_times, tx_nodes = _run_chunks(config, n, sweep)
 
     tau = config.trickle.tau_h
     m = tx_times > config.warmup
@@ -644,7 +638,6 @@ def run(config: SimRunConfig) -> SimStats:
         per_interval_counts=per_interval,
         per_node_counts=per_node,
         first_window=w0,
-        attempt_times=attempts if config.record_attempts else None,
     )
 
 

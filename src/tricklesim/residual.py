@@ -46,7 +46,8 @@ __all__ = [
 
 
 class LifetimeDistribution:
-    """A nonnegative continuous lifetime, described by its CDF.
+    """A nonnegative continuous lifetime, described by its CDF alone (every
+    chain law here integrates its survival function `sf`).
 
     Parameters
     ----------
@@ -55,8 +56,6 @@ class LifetimeDistribution:
     support : (float, float)
         Closure [a, b] of the support; a >= 0, b may be ``inf``.  Outside
         it the CDF is clamped to 0/1 without calling `cdf`.
-    pdf : callable, optional
-        Density; a central difference of the CDF is used if absent.
     moment : callable, optional
         j -> E[Y^j]; computed by quadrature of the survival function if
         absent (``E[Y^j] = j * int t^{j-1} sf(t) dt``).
@@ -66,8 +65,8 @@ class LifetimeDistribution:
         Used in error messages only.
     """
 
-    def __init__(self, cdf, support=(0.0, math.inf), pdf=None, moment=None,
-                 inverse_cdf=None, name="lifetime"):
+    def __init__(self, cdf, support=(0.0, math.inf), moment=None, inverse_cdf=None,
+                 name="lifetime"):
         lo, hi = float(support[0]), float(support[1])
         if lo < 0:
             raise ValueError(f"support must be nonnegative, got lower end {lo}")
@@ -76,7 +75,6 @@ class LifetimeDistribution:
         self._cdf = cdf
         self.support_lo = lo
         self.support_hi = hi
-        self._pdf = pdf
         self._moment = moment
         self._inverse_cdf = inverse_cdf
         self.name = name
@@ -90,14 +88,6 @@ class LifetimeDistribution:
 
     def sf(self, t: float) -> float:
         return 1.0 - self.cdf(t)
-
-    def pdf(self, t: float) -> float:
-        if self._pdf is not None:
-            if t < self.support_lo or t > self.support_hi:
-                return 0.0
-            return float(self._pdf(t))
-        h = 1e-6 * max(1.0, abs(t))
-        return max(0.0, (self.cdf(t + h) - self.cdf(t - h)) / (2.0 * h))
 
     def moment(self, j: int) -> float:
         """j-th raw moment; raises QuadratureError if it is not finite."""
@@ -146,7 +136,6 @@ def exponential(rate: float = 1.0) -> LifetimeDistribution:
     return LifetimeDistribution(
         cdf=lambda t: -math.expm1(-rate * t),
         support=(0.0, math.inf),
-        pdf=lambda t: rate * math.exp(-rate * t),
         moment=lambda j: math.factorial(j) / rate**j,
         inverse_cdf=lambda u: -math.log1p(-u) / rate,
         name=f"Exp({rate:g})",
@@ -161,7 +150,6 @@ def uniform(lo: float = 0.0, hi: float = 1.0) -> LifetimeDistribution:
     return LifetimeDistribution(
         cdf=lambda t: min(1.0, max(0.0, (t - lo) / w)),
         support=(lo, hi),
-        pdf=lambda t: 1.0 / w,
         moment=lambda j: (hi ** (j + 1) - lo ** (j + 1)) / ((j + 1) * w),
         inverse_cdf=lambda u: lo + u * w,
         name=f"U({lo:g},{hi:g})",
@@ -194,16 +182,9 @@ def shifted_rayleigh(shift: float, scale: float) -> LifetimeDistribution:
         z = (t - shift) / scale
         return -math.expm1(-0.5 * z * z)
 
-    def pdf(t: float) -> float:
-        if t <= shift:
-            return 0.0
-        z = (t - shift) / scale
-        return z / scale * math.exp(-0.5 * z * z)
-
     return LifetimeDistribution(
         cdf=cdf,
         support=(shift, shift + _RAYLEIGH_WIDTH * scale),
-        pdf=pdf,
         inverse_cdf=lambda u: shift + scale * math.sqrt(-2.0 * math.log1p(-u)),
         name=f"ShiftedRayleigh({shift:g},{scale:g})",
     )
@@ -400,35 +381,28 @@ def sample_chain(spec: ChainSpec, steps: int, burn_in: int, seed: int) -> np.nda
     return out
 
 
-def simplex_integral_check(m: int, g, *, mc_samples: int = 400_000, seed: int = 0):
+def simplex_integral_check(m: int, g):
     """Self-test of the orthant-collapse identity
-    ``int_{[0,inf)^(m+1)} G(sum x) dx = int x^m G(x) / m! dx``.
+    ``int_{[0,inf)^(m+1)} G(sum x) dx = int x^m G(x) / m! dx``
+    for m = 0, 1 or 2.
 
-    Returns (lhs, rhs).  The left side uses nested quadrature for m <= 2
-    and importance-sampled Monte Carlo (unit-exponential proposal) above
-    that, so `g` should decay at least exponentially in the Monte-Carlo
-    regime.
+    Returns (lhs, rhs); the left side is nested quadrature.
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    if m not in (0, 1, 2):
+        raise ValueError(f"m must be 0, 1 or 2, got {m}")
     rhs = quad(lambda x: x**m * g(x), 0.0, math.inf) / math.factorial(m)
     if m == 0:
         lhs = quad(g, 0.0, math.inf)
     elif m == 1:
         lhs = quad(lambda x: quad(lambda y: g(x + y), 0.0, math.inf), 0.0, math.inf,
                    epsabs=1e-9, epsrel=1e-7)
-    elif m == 2:
+    else:
         lhs = quad(
             lambda x: quad(
                 lambda y: quad(lambda z: g(x + y + z), 0.0, math.inf,
                                epsabs=1e-10, epsrel=1e-8),
                 0.0, math.inf, epsabs=1e-9, epsrel=1e-7),
             0.0, math.inf, epsabs=1e-8, epsrel=1e-6)
-    else:
-        rng = np.random.default_rng(seed)
-        s = rng.gamma(m + 1, 1.0, size=mc_samples)
-        vals = np.fromiter((g(x) for x in s), dtype=float, count=mc_samples)
-        lhs = float(np.mean(vals * np.exp(s)))
     return lhs, rhs
 
 

@@ -102,16 +102,16 @@ def test_c04_gap_distribution_k3():
 def test_c05_attempt_process_poisson():
     details, ok = [], True
     for eta in (0.0, 0.5):
+        # The fires depend only on (seed, node), and at k = 2n + 1 no fire is
+        # suppressed, so the transmissions are the attempts.
         cfg = SimRunConfig(
-            trickle=TrickleConfig(k=1, tau_l=1.0, tau_h=1.0, eta=eta),
+            trickle=TrickleConfig(k=2 * 200 + 1, tau_l=1.0, tau_h=1.0, eta=eta),
             topology=SingleCell(200),
             duration=520.0,
             warmup=10.0,
             seed=105,
-            record_attempts=True,
         )
-        st = run(cfg)
-        scaled = np.diff(st.attempt_times) * 200
+        scaled = np.diff(run(cfg).transmission_times) * 200
         ks = stats.kstest(scaled, "expon").statistic
         details.append(f"eta={eta:g}: {scaled.size + 1} attempts KS={ks:.4f}")
         ok = ok and scaled.size + 1 >= 100_000 and ks <= 0.02

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,15 @@ def cell_cfg(k, n, eta, duration=60.0, warmup=10.0, seed=0, **kw):
         seed=seed,
         **kw,
     )
+
+
+def all_fires(cfg):
+    """Every timer fire of `cfg`'s run in ``(warmup, duration]``: the
+    transmissions of the same run at ``k = 2n + 1``.  The fires depend only
+    on (seed, node), and no node hears more than 2(S - 1) transmissions in
+    one interval, so at that k nothing is suppressed."""
+    k = 2 * num_nodes(cfg.topology) + 1
+    return run(replace(cfg, trickle=replace(cfg.trickle, k=k))).transmission_times
 
 
 # --------------------------------------------------------------------------
@@ -168,9 +178,9 @@ def test_no_suppression_when_threshold_unreachable():
     # With skewed intervals a listening window can overlap two intervals of
     # each neighbour, so a node can hear up to 2*(n-1) messages per interval.
     # Past that threshold every attempt transmits.
-    cfg = cell_cfg(8, 4, 0.2, duration=80.0, seed=13, record_attempts=True)
+    cfg = cell_cfg(8, 4, 0.2, duration=80.0, seed=13)
     st = run(cfg)
-    assert np.array_equal(st.attempt_times, st.transmission_times)
+    assert np.array_equal(all_fires(cfg), st.transmission_times)
     assert abs(st.mean_per_interval - 4.0) <= 1.5 * 4 / st.per_interval_counts.size
     assert sum(st.per_node_counts.values()) == st.total_transmissions
 
@@ -240,15 +250,16 @@ def test_per_node_counts_cover_all_nodes():
 # schedule audit
 
 def test_transmissions_are_scheduled_attempts():
-    cfg = cell_cfg(2, 9, 0.3, duration=40.0, seed=17, record_attempts=True)
+    cfg = cell_cfg(2, 9, 0.3, duration=40.0, seed=17)
     st = run(cfg)
+    fires = set(all_fires(cfg).tolist())
     scheduled = set()
     for i in range(9):
         s, thetas = node_schedule(cfg, i)
         for j, th in enumerate(thetas.tolist()):
             scheduled.add(min(s + 1.0 * j + th, s + 1.0 * (j + 1)))
-    assert set(st.attempt_times.tolist()) <= scheduled
-    assert set(st.transmission_times.tolist()) <= set(st.attempt_times.tolist())
+    assert fires <= scheduled
+    assert set(st.transmission_times.tolist()) <= fires
 
 
 def test_node_schedule_offsets_in_listen_window():
@@ -327,8 +338,7 @@ CELL_CASES = [
 
 
 def short_cell(k, n, eta, skew):
-    return cell_cfg(k, n, eta, duration=23.0, warmup=2.0, seed=123, skew=skew,
-                    record_attempts=True)
+    return cell_cfg(k, n, eta, duration=23.0, warmup=2.0, seed=123, skew=skew)
 
 
 @pytest.mark.parametrize("k,n,eta,skew", CELL_CASES)
@@ -348,7 +358,7 @@ def assert_matches_reference(cfg):
     assert np.array_equal(st.transmission_times, tx_t[m])
     assert np.array_equal(st.transmission_nodes, tx_i[m])
     am = (att > cfg.warmup) & (att <= cfg.duration)
-    assert np.array_equal(st.attempt_times, att[am])
+    assert np.array_equal(all_fires(cfg), att[am])
 
 
 LONG_CELL_CASES = [
@@ -369,8 +379,7 @@ LONG_CELL_CASES = [
 
 
 def long_cell(k, n, eta, skew):
-    return cell_cfg(k, n, eta, duration=40.0, warmup=2.0, seed=9, skew=skew,
-                    record_attempts=True)
+    return cell_cfg(k, n, eta, duration=40.0, warmup=2.0, seed=9, skew=skew)
 
 
 @pytest.mark.parametrize("k,n,eta,skew", LONG_CELL_CASES)
@@ -403,7 +412,6 @@ def assert_cell_matches_all_in_range_grid(k, eta):
             duration=60.0,
             warmup=5.0,
             seed=41,
-            record_attempts=True,
         )
 
     cell = run(cfg(SingleCell(25)))
@@ -411,7 +419,8 @@ def assert_cell_matches_all_in_range_grid(k, eta):
     assert cell.total_transmissions > 0
     assert np.array_equal(cell.transmission_times, grid.transmission_times)
     assert np.array_equal(cell.transmission_nodes, grid.transmission_nodes)
-    assert np.array_equal(cell.attempt_times, grid.attempt_times)
+    assert np.array_equal(all_fires(cfg(SingleCell(25))),
+                          all_fires(cfg(Grid(side=5, radio_range=10.0))))
 
 
 # r = 0.5 leaves every node without neighbors, so every fire transmits
@@ -426,7 +435,6 @@ def grid_cfg(k, r, eta, skew=Skew.UNIFORM_RANDOM):
         warmup=2.0,
         seed=321,
         skew=skew,
-        record_attempts=True,
     )
 
 
@@ -452,7 +460,6 @@ def long_grid(k, r, eta):
         duration=20.0,
         warmup=2.0,
         seed=77,
-        record_attempts=True,
     )
 
 
@@ -468,8 +475,7 @@ def test_chunked_grid_matches_reference_long(two_interval_windows, k, r, eta):
 
 @pytest.mark.parametrize(
     "cfg",
-    [cell_cfg(3, 12, 1.0, duration=30.0, warmup=2.0, seed=5, skew=Skew.SYNCHRONIZED,
-              record_attempts=True),
+    [cell_cfg(3, 12, 1.0, duration=30.0, warmup=2.0, seed=5, skew=Skew.SYNCHRONIZED),
      grid_cfg(2, 1.5, 1.0, skew=Skew.SYNCHRONIZED)],
     ids=["cell", "grid"],
 )
@@ -477,9 +483,9 @@ def test_chunk_boundary_ties_synchronized_eta_one(two_interval_windows, cfg):
     # every fire is capped at the next interval start, j + 1, so every
     # second fire lands exactly on a window bound, tied with the interval
     # starts of the next window
-    st = run(cfg)
-    assert np.all(st.attempt_times == np.floor(st.attempt_times))
-    assert np.any(st.attempt_times % 2 == 0)
+    fires = all_fires(cfg)
+    assert np.all(fires == np.floor(fires))
+    assert np.any(fires % 2 == 0)
     assert_matches_reference(cfg)
 
 
@@ -500,15 +506,14 @@ def test_chunking_leaves_runs_unchanged(monkeypatch, topology, skew, eta, tau):
         warmup=1.5,
         seed=61,
         skew=skew,
-        record_attempts=True,
     )
-    whole = run(cfg)
+    whole, whole_fires = run(cfg), all_fires(cfg)
     monkeypatch.setattr(engine, "_SCHEDULE_FIRES", 1)
     chunked = run(cfg)
     assert whole.total_transmissions > 0
     assert np.array_equal(whole.transmission_times, chunked.transmission_times)
     assert np.array_equal(whole.transmission_nodes, chunked.transmission_nodes)
-    assert np.array_equal(whole.attempt_times, chunked.attempt_times)
+    assert np.array_equal(whole_fires, all_fires(cfg))
     assert np.array_equal(whole.per_interval_counts, chunked.per_interval_counts)
 
 
@@ -533,15 +538,14 @@ def test_start_rounded_onto_window_bound(monkeypatch, topology):
         duration=30.0,
         warmup=2.0,
         seed=3,
-        record_attempts=True,
     )
-    whole = run(cfg)
-    assert np.any(whole.attempt_times == np.floor(whole.attempt_times))
+    whole, whole_fires = run(cfg), all_fires(cfg)
+    assert np.any(whole_fires == np.floor(whole_fires))
     monkeypatch.setattr(engine, "_SCHEDULE_FIRES", 1)
     chunked = run(cfg)
     assert np.array_equal(whole.transmission_times, chunked.transmission_times)
     assert np.array_equal(whole.transmission_nodes, chunked.transmission_nodes)
-    assert np.array_equal(whole.attempt_times, chunked.attempt_times)
+    assert np.array_equal(whole_fires, all_fires(cfg))
 
 
 def test_chunked_draws_equal_node_schedule(two_interval_windows):
@@ -705,7 +709,6 @@ def fuzz_configs(draw):
         warmup=warmup,
         seed=draw(hs.integers(0, 2**64 - 1)),
         skew=draw(hs.sampled_from(list(Skew))),
-        record_attempts=True,
     )
     sizes = (draw(hs.sampled_from([1, 7, engine._SCHEDULE_FIRES])),
              draw(hs.sampled_from([1, 3, engine._GRID_STEP])))
@@ -719,7 +722,7 @@ def test_run_matches_reference_fuzz(case):
     saved = engine._SCHEDULE_FIRES, engine._GRID_STEP
     engine._SCHEDULE_FIRES, engine._GRID_STEP = schedule_fires, grid_step
     try:
-        st = run(cfg)
+        st, fires = run(cfg), all_fires(cfg)
     finally:
         engine._SCHEDULE_FIRES, engine._GRID_STEP = saved
     att, tx_t, tx_i = reference_run(cfg)
@@ -727,7 +730,7 @@ def test_run_matches_reference_fuzz(case):
     assert np.array_equal(st.transmission_times, tx_t[m])
     assert np.array_equal(st.transmission_nodes, tx_i[m])
     am = (att > cfg.warmup) & (att <= cfg.duration)
-    assert np.array_equal(st.attempt_times, att[am])
+    assert np.array_equal(fires, att[am])
     assert st.first_window == math.ceil(cfg.warmup / cfg.trickle.tau_h)
     assert np.array_equal(st.per_interval_counts, recount_windows(cfg, st.transmission_times))
     assert sum(st.per_node_counts.values()) == st.total_transmissions
@@ -839,9 +842,10 @@ def test_replicate_matches_hand_loop(topology):
 
 
 def attempt_ks(n, eta, duration, seed):
-    """KS distance of the n-scaled inter-attempt gaps of a k=1 cell from Exp(1)."""
-    st = run(cell_cfg(1, n, eta, duration=duration, seed=seed, record_attempts=True))
-    return stats.kstest(np.diff(st.attempt_times) * n, "expon").statistic
+    """KS distance of the n-scaled gaps between the timer fires of an n-node
+    cell from Exp(1)."""
+    fires = all_fires(cell_cfg(1, n, eta, duration=duration, seed=seed))
+    return stats.kstest(np.diff(fires) * n, "expon").statistic
 
 
 def test_attempt_process_poisson_in_large_cell():
