@@ -12,14 +12,13 @@ closed structure:
   ``sf``.
 
 Everything here takes an arbitrary ``LifetimeDistribution``; nothing is
-specific to broadcast timing.  The chain sampler provides an independent
-Monte-Carlo check of every closed form.
+specific to broadcast timing.  The chain sampler, started from the empty
+history, provides an independent Monte-Carlo check of every closed form.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -209,7 +208,7 @@ class ChainSpec:
 
 def stationary_sf(spec: ChainSpec, y: float) -> float:
     """P(X > y) under the stationary law of one chain coordinate."""
-    if y < 0:
+    if not y >= 0:
         raise ValueError(f"y must be >= 0, got {y}")
     m = spec.m
     upper = spec.dist.support_hi - y
@@ -246,7 +245,7 @@ def invariant_density(spec: ChainSpec, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.m,):
         raise ValueError(f"x must have exactly m={spec.m} coordinates, got shape {x.shape}")
-    if np.any(x < 0):
+    if not (x >= 0).all():
         raise ValueError("coordinates must be nonnegative")
     c_m = math.factorial(spec.m) / spec.moment_m
     return c_m * spec.dist.sf(float(x.sum()))
@@ -255,7 +254,7 @@ def invariant_density(spec: ChainSpec, x) -> float:
 def sum_density(spec: ChainSpec, s: float) -> float:
     """Density of the sum of m consecutive stationary values:
     ``(m / E[Y^m]) * s^(m-1) * sf(s)``."""
-    if s < 0:
+    if not s >= 0:
         raise ValueError(f"s must be >= 0, got {s}")
     return spec.m / spec.moment_m * s ** (spec.m - 1) * spec.dist.sf(s)
 
@@ -324,50 +323,25 @@ def sample_chain(spec: ChainSpec, steps: int, burn_in: int, seed: int) -> np.nda
 
     Uses conditional inverse-CDF sampling of the overshoot: with history
     sum sigma, the next value is ``F^-1(F(sigma) + u (1 - F(sigma))) -
-    sigma``.  The initial window is m independent draws from Y; whenever a
-    window leaves no mass beyond its sum (routine at start-up for bounded
-    support and m >= 2, e.g. three U(0,1) draws usually sum past 1), the
-    window is redrawn until it fits, and a single warning reports the
-    total number of redraws at the end.
+    sigma`` with u uniform on (0, 1].  The chain starts from the empty
+    history (m zeros), a state of every such chain; burn-in discards that
+    start.  A step moves the window sum from sigma to at most the lifetime
+    just drawn, so every window visited leaves mass beyond its sum.  Where
+    F(sigma) rounds to 1 the step is 0 instead; for Exp(1) that skews the
+    law from about m = 25 (mean 0.96 at m = 30).
     """
     if not steps > burn_in >= 0:
         raise ValueError(f"need steps > burn_in >= 0, got steps={steps}, burn_in={burn_in}")
     rng = np.random.default_rng(seed)
     dist = spec.dist
-    m = spec.m
-
-    def fresh_window() -> list:
-        draws = []
-        for _ in range(m):
-            u = rng.random()
-            while u == 0.0:
-                u = rng.random()
-            draws.append(dist.inverse_cdf(u))
-        return draws
-
-    window = fresh_window()
+    window = [0.0] * spec.m
     out = np.empty(steps - burn_in)
-    resamples = 0
     for t in range(steps):
         sigma = math.fsum(window)
         f_sigma = dist.cdf(sigma)
-        tries = 0
-        while f_sigma >= 1.0 - 1e-14:
-            tries += 1
-            if tries > 10_000:
-                raise RuntimeError(
-                    f"could not draw a window of {m} values from {dist.name} "
-                    "leaving mass beyond their sum; the chain has no state space"
-                )
-            window = fresh_window()
-            sigma = math.fsum(window)
-            f_sigma = dist.cdf(sigma)
-            resamples += 1
-        u = rng.random()
-        p = f_sigma + u * (1.0 - f_sigma)
+        p = f_sigma + (1.0 - rng.random()) * (1.0 - f_sigma)
         if p >= 1.0:
-            # f_sigma is strictly below 1 here, but the affine map can
-            # round up to 1.0 when u is within a few ulp of 1
+            # u = 1, or f_sigma rounded to 1: stay inside inverse_cdf's domain
             p = math.nextafter(1.0, 0.0)
         x = dist.inverse_cdf(p) - sigma
         if x < 0.0:
@@ -376,8 +350,6 @@ def sample_chain(spec: ChainSpec, steps: int, burn_in: int, seed: int) -> np.nda
             out[t - burn_in] = x
         window.pop(0)
         window.append(x)
-    if resamples:
-        warnings.warn(f"chain support exhausted {resamples} times; window redrawn")
     return out
 
 

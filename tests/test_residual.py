@@ -177,6 +177,17 @@ def test_sum_density():
         sum_density(spec, -1.0)
 
 
+@pytest.mark.parametrize("law,arg", [
+    (stationary_sf, math.nan),
+    (stationary_cdf, math.nan),
+    (sum_density, math.nan),
+    (invariant_density, [0.4, math.nan]),
+], ids=["stationary_sf", "stationary_cdf", "sum_density", "invariant_density"])
+def test_laws_reject_nan(law, arg):
+    with pytest.raises(ValueError):
+        law(ChainSpec(exponential(1.0), 2), arg)
+
+
 # --------------------------------------------------------------------------
 # Laplace transform
 
@@ -232,22 +243,46 @@ def test_sample_chain_matches_stationary_law():
 
 def test_sample_chain_uniform_m2():
     spec = ChainSpec(uniform(0.0, 1.0), 2)
-    with pytest.warns(UserWarning, match="redrawn"):
-        draws = sample_chain(spec, steps=21_000, burn_in=1000, seed=12)
+    draws = sample_chain(spec, steps=21_000, burn_in=1000, seed=12)
     grid = np.linspace(0.0, 1.0, 201)
     vals = np.array([stationary_cdf(spec, float(y)) for y in grid])
     assert kstest(draws, lambda y: np.interp(y, grid, vals)).statistic < 0.03
     assert np.all(draws >= 0.0) and np.all(draws <= 1.0)
 
 
-def test_sample_chain_validation_and_resample_warning():
+def test_sample_chain_narrow_uniform_m2():
+    # two independent U(0.9, 1) draws always sum past the support end, but
+    # the chain from the empty history lives on windows that sum below it
+    spec = ChainSpec(uniform(0.9, 1.0), 2)
+    draws = sample_chain(spec, steps=161_000, burn_in=1000, seed=13)
+    grid = np.linspace(0.0, 1.0, 201)
+    vals = np.array([stationary_cdf(spec, float(y)) for y in grid])
+    assert kstest(draws, lambda y: np.interp(y, grid, vals)).statistic < 0.015
+    assert abs(draws.mean() - stationary_moment(spec, 1)) < 5e-4
+
+
+def test_sample_chain_starts_from_empty_history():
+    # the first value is a whole lifetime, drawn at u = 1 - rng.random()
+    dist = uniform(0.5, 1.0)
+    for seed in (0, 1, 2, 3):
+        first = sample_chain(ChainSpec(dist, 2), steps=1, burn_in=0, seed=seed)[0]
+        assert first == dist.inverse_cdf(1.0 - np.random.default_rng(seed).random())
+
+
+def test_sample_chain_where_cdf_rounds_to_one():
+    # forty Exp(1) values sum past 37, where F rounds to 1: p is capped below
+    # 1 and the overshoot clamped at 0, so no step raises or goes negative
+    draws = sample_chain(ChainSpec(exponential(1.0), 40), steps=2000, burn_in=0, seed=0)
+    assert np.all(draws >= 0.0) and np.all(np.isfinite(draws))
+    assert np.any(draws == 0.0)
+
+
+def test_sample_chain_validation_and_m3_run():
     spec = ChainSpec(uniform(0.0, 1.0), 3)
     with pytest.raises(ValueError):
         sample_chain(spec, steps=5, burn_in=5, seed=0)
-    # a fresh window of three independent U(0,1) draws usually sums past the
-    # support end, forcing the guarded redraw
-    with pytest.warns(UserWarning, match="redrawn"):
-        sample_chain(spec, steps=40, burn_in=0, seed=1)
+    draws = sample_chain(spec, steps=40, burn_in=0, seed=1)
+    assert draws.size == 40 and np.all(draws >= 0.0) and np.all(draws <= 1.0)
 
 
 # --------------------------------------------------------------------------
