@@ -11,9 +11,12 @@ closed structure:
   the joint Laplace transform all reduce to one-dimensional integrals of
   ``sf``.
 
-Everything here takes an arbitrary ``LifetimeDistribution``; nothing is
-specific to broadcast timing.  The chain sampler, started from the empty
-history, provides an independent Monte-Carlo check of every closed form.
+Everything here takes an arbitrary ``LifetimeDistribution``, given by its
+survival function and that function's inverse; nothing is specific to
+broadcast timing.  The chain sampler inverts the survival function, so it
+resolves the tail as finely as the laws integrate it.  Started from the
+empty history, it provides an independent Monte-Carlo check of every
+closed form.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -45,48 +49,46 @@ __all__ = [
 
 
 class LifetimeDistribution:
-    """A nonnegative continuous lifetime, described by its CDF alone (every
-    chain law here integrates its survival function `sf`).
+    """A nonnegative continuous lifetime, described by its survival function
+    and that function's inverse (every chain law here integrates `sf`, and
+    the sampler inverts it).
 
     Parameters
     ----------
-    cdf : callable
-        Distribution function t -> [0, 1].
+    sf : callable
+        Survival function t -> P(Y > t) in [0, 1].
+    inverse_sf : callable
+        q in (0, 1] -> the t with sf(t) = q; stored and called as given.
     support : (float, float)
-        Closure [a, b] of the support; a >= 0, b may be ``inf``.  Outside
-        it the CDF is clamped to 0/1 without calling `cdf`.
+        Closure [a, b] of the support; a >= 0, b may be ``inf``.  Below it
+        the survival is 1 and at or past b it is 0, without calling `sf`.
     moment : callable, optional
         j -> E[Y^j]; computed by quadrature of the survival function if
         absent (``E[Y^j] = j * int t^{j-1} sf(t) dt``).
-    inverse_cdf : callable, optional
-        u in (0,1) -> t; bisection on the CDF (80 iterations) if absent.
     name : str
         Used in error messages only.
     """
 
-    def __init__(self, cdf, support=(0.0, math.inf), moment=None, inverse_cdf=None,
+    def __init__(self, sf, inverse_sf, support=(0.0, math.inf), moment=None,
                  name="lifetime"):
         lo, hi = float(support[0]), float(support[1])
         if lo < 0:
             raise ValueError(f"support must be nonnegative, got lower end {lo}")
         if not hi > lo:
             raise ValueError(f"support upper end must exceed lower end, got [{lo}, {hi}]")
-        self._cdf = cdf
+        self._sf = sf
+        self.inverse_sf = inverse_sf
         self.support_lo = lo
         self.support_hi = hi
         self._moment = moment
-        self._inverse_cdf = inverse_cdf
         self.name = name
 
-    def cdf(self, t: float) -> float:
-        if t <= self.support_lo:
-            return 0.0 if t < self.support_lo else float(self._cdf(t))
-        if t >= self.support_hi:
-            return 1.0
-        return float(self._cdf(t))
-
     def sf(self, t: float) -> float:
-        return 1.0 - self.cdf(t)
+        if t < self.support_lo:
+            return 1.0
+        if t >= self.support_hi:
+            return 0.0
+        return float(self._sf(t))
 
     def moment(self, j: int) -> float:
         """j-th raw moment; raises QuadratureError if it is not finite."""
@@ -106,51 +108,30 @@ class LifetimeDistribution:
             raise QuadratureError(f"moment {j} of {self.name} is not finite: {v}")
         return v
 
-    def inverse_cdf(self, u: float) -> float:
-        if not 0.0 < u < 1.0:
-            raise ValueError(f"inverse_cdf argument must be in (0, 1), got {u}")
-        if self._inverse_cdf is not None:
-            return float(self._inverse_cdf(u))
-        lo = self.support_lo
-        hi = self.support_hi
-        if math.isinf(hi):
-            hi = max(lo + 1.0, 1.0)
-            for _ in range(200):
-                if self.cdf(hi) >= u:
-                    break
-                hi *= 2.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < u:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
 
 def exponential(rate: float = 1.0) -> LifetimeDistribution:
     """Exponential lifetime with the given rate."""
-    if not rate > 0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    if not 0 < rate < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate}")
     return LifetimeDistribution(
-        cdf=lambda t: -math.expm1(-rate * t),
+        sf=lambda t: math.exp(-rate * t),
+        inverse_sf=lambda q: -math.log(q) / rate,
         support=(0.0, math.inf),
         moment=lambda j: math.factorial(j) / rate**j,
-        inverse_cdf=lambda u: -math.log1p(-u) / rate,
         name=f"Exp({rate:g})",
     )
 
 
 def uniform(lo: float = 0.0, hi: float = 1.0) -> LifetimeDistribution:
-    """Uniform lifetime on [lo, hi], lo >= 0."""
-    if lo < 0 or not hi > lo:
-        raise ValueError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
+    """Uniform lifetime on [lo, hi], 0 <= lo < hi < inf."""
+    if not 0 <= lo < hi < math.inf:
+        raise ValueError(f"need 0 <= lo < hi < inf, got [{lo}, {hi}]")
     w = hi - lo
     return LifetimeDistribution(
-        cdf=lambda t: min(1.0, max(0.0, (t - lo) / w)),
+        sf=lambda t: (hi - t) / w,
+        inverse_sf=lambda q: hi - q * w,
         support=(lo, hi),
         moment=lambda j: (hi ** (j + 1) - lo ** (j + 1)) / ((j + 1) * w),
-        inverse_cdf=lambda u: lo + u * w,
         name=f"U({lo:g},{hi:g})",
     )
 
@@ -170,21 +151,14 @@ def shifted_rayleigh(shift: float, scale: float) -> LifetimeDistribution:
     of it run over that finite stretch and not over the flat part or an
     infinite tail (a narrow law, scale << shift, is otherwise missed).
     """
-    if shift < 0:
-        raise ValueError(f"shift must be >= 0, got {shift}")
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-
-    def cdf(t: float) -> float:
-        if t <= shift:
-            return 0.0
-        z = (t - shift) / scale
-        return -math.expm1(-0.5 * z * z)
-
+    if not 0 <= shift < math.inf:
+        raise ValueError(f"shift must be >= 0 and finite, got {shift}")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     return LifetimeDistribution(
-        cdf=cdf,
+        sf=lambda t: math.exp(-0.5 * ((t - shift) / scale) ** 2),
+        inverse_sf=lambda q: shift + scale * math.sqrt(-2.0 * math.log(q)),
         support=(shift, shift + _RAYLEIGH_WIDTH * scale),
-        inverse_cdf=lambda u: shift + scale * math.sqrt(-2.0 * math.log1p(-u)),
         name=f"ShiftedRayleigh({shift:g},{scale:g})",
     )
 
@@ -197,8 +171,8 @@ class ChainSpec:
     m: int
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"memory depth m must be >= 1, got {self.m}")
+        if not isinstance(self.m, Integral) or self.m < 1:
+            raise ValueError(f"memory depth m must be an integer >= 1, got {self.m!r}")
 
     @cached_property
     def moment_m(self) -> float:
@@ -268,7 +242,7 @@ def stationary_moment(spec: ChainSpec, j: int) -> float:
 
 
 def _laplace_of_lifetime(dist: LifetimeDistribution, s: float) -> float:
-    # E[e^(-sY)] = 1 - s * int e^(-st) sf(t) dt, which needs only the CDF.
+    # E[e^(-sY)] = 1 - s * int e^(-st) sf(t) dt, which needs only sf.
     return 1.0 - s * quad(lambda t: math.exp(-s * t) * dist.sf(t), 0.0, dist.support_hi)
 
 
@@ -321,14 +295,14 @@ def laplace_transform(spec: ChainSpec, s_vec, *, verify: bool = False,
 def sample_chain(spec: ChainSpec, steps: int, burn_in: int, seed: int) -> np.ndarray:
     """Simulate the chain; returns the `steps - burn_in` post-burn-in values.
 
-    Uses conditional inverse-CDF sampling of the overshoot: with history
-    sum sigma, the next value is ``F^-1(F(sigma) + u (1 - F(sigma))) -
-    sigma`` with u uniform on (0, 1].  The chain starts from the empty
-    history (m zeros), a state of every such chain; burn-in discards that
-    start.  A step moves the window sum from sigma to at most the lifetime
-    just drawn, so every window visited leaves mass beyond its sum.  Where
-    F(sigma) rounds to 1 the step is 0 instead; for Exp(1) that skews the
-    law from about m = 25 (mean 0.96 at m = 30).
+    Uses conditional inverse-survival sampling of the overshoot: with
+    history sum sigma, the next value is ``sf^-1(u sf(sigma)) - sigma`` with
+    u uniform on (0, 1].  The chain starts from the empty history (m zeros),
+    a state of every such chain; burn-in discards that start.  A step moves
+    the window sum from sigma to at most the lifetime just drawn, so every
+    window visited leaves mass beyond its sum.  The step is 0 only where
+    ``u sf(sigma)`` underflows to 0 (for Exp(1), sigma past about 745), or
+    where a rounded inverse lands below sigma.
     """
     if not steps > burn_in >= 0:
         raise ValueError(f"need steps > burn_in >= 0, got steps={steps}, burn_in={burn_in}")
@@ -338,12 +312,8 @@ def sample_chain(spec: ChainSpec, steps: int, burn_in: int, seed: int) -> np.nda
     out = np.empty(steps - burn_in)
     for t in range(steps):
         sigma = math.fsum(window)
-        f_sigma = dist.cdf(sigma)
-        p = f_sigma + (1.0 - rng.random()) * (1.0 - f_sigma)
-        if p >= 1.0:
-            # u = 1, or f_sigma rounded to 1: stay inside inverse_cdf's domain
-            p = math.nextafter(1.0, 0.0)
-        x = dist.inverse_cdf(p) - sigma
+        q = (1.0 - rng.random()) * dist.sf(sigma)
+        x = dist.inverse_sf(q) - sigma if q > 0.0 else 0.0
         if x < 0.0:
             x = 0.0
         if t >= burn_in:

@@ -53,7 +53,7 @@ MUTANTS = [
         "sampler_u_from_zero", "src/tricklesim/residual.py",
         "(1.0 - rng.random())", "rng.random()",
         ("tests/test_residual.py",),
-        "u lies in (0, 1], so p > 0 even where F(sigma) = 0",
+        "u lies in (0, 1], so q is 0 only where sf(sigma) underflows; the draw is pinned",
     ),
     Mutant(
         "sampler_drops_newest", "src/tricklesim/residual.py",
@@ -63,21 +63,27 @@ MUTANTS = [
     ),
     Mutant(
         "sampler_no_overshoot", "src/tricklesim/residual.py",
-        "x = dist.inverse_cdf(p) - sigma", "x = dist.inverse_cdf(p)",
+        "dist.inverse_sf(q) - sigma", "dist.inverse_sf(q)",
         ("tests/test_residual.py",),
         "the chain moves by the residual Y - sigma, not by Y",
     ),
     Mutant(
-        "sampler_no_p_cap", "src/tricklesim/residual.py",
-        "        if p >= 1.0:\n", "        if False:\n",
+        "sampler_no_underflow_guard", "src/tricklesim/residual.py",
+        " if q > 0.0 else 0.0", "",
         ("tests/test_residual.py",),
-        "where F(sigma) rounds to 1, p = 1 is outside the domain of inverse_cdf",
+        "where sf(sigma) underflows, q = 0 is outside the domain of inverse_sf",
     ),
     Mutant(
         "sampler_no_clamp", "src/tricklesim/residual.py",
         "        if x < 0.0:\n", "        if False:\n",
         ("tests/test_residual.py",),
         "a rounded step can undershoot sigma; a chain value is never negative",
+    ),
+    Mutant(
+        "sf_from_cdf", "src/tricklesim/residual.py",
+        "math.exp(-rate * t)", "1.0 + math.expm1(-rate * t)",
+        ("tests/test_residual.py",),
+        "a survival function formed as 1 - F loses the tail the laws and the sampler need",
     ),
     # the engine
     Mutant(

@@ -515,7 +515,7 @@ def test_first_transmission_lifetime_matches_cdf():
         p = an.AnalyticParams(k=1, n=50, eta=eta)
         life = an.first_transmission_lifetime(p)
         for t in (0.05, 0.2, 0.6, 1.0):
-            assert life.cdf(t) == pytest.approx(an.cdf_T1(t, p), rel=1e-12)
+            assert 1.0 - life.sf(t) == pytest.approx(an.cdf_T1(t, p), rel=1e-12)
     with pytest.raises(ValueError):
         an.first_transmission_lifetime(an.AnalyticParams(k=1, n=50, eta=1.0))
 

@@ -28,22 +28,22 @@ from tricklesim.residual import (
 
 def test_exponential_basics():
     d = exponential(1.0)
-    assert d.cdf(math.log(2.0)) == pytest.approx(0.5, rel=1e-14)
+    assert 1.0 - d.sf(math.log(2.0)) == pytest.approx(0.5, rel=1e-14)
     assert d.sf(1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
     for j in (1, 2, 3, 4):
         assert d.moment(j) == math.factorial(j)
-    assert d.inverse_cdf(0.5) == pytest.approx(math.log(2.0), rel=1e-14)
+    assert d.inverse_sf(1 - 0.5) == pytest.approx(math.log(2.0), rel=1e-14)
     with pytest.raises(ValueError):
         exponential(0.0)
 
 
 def test_uniform_basics():
     d = uniform(0.0, 2.0)
-    assert d.cdf(0.5) == 0.25
-    assert d.cdf(-1.0) == 0.0 and d.cdf(3.0) == 1.0
+    assert 1.0 - d.sf(0.5) == 0.25
+    assert 1.0 - d.sf(-1.0) == 0.0 and 1.0 - d.sf(3.0) == 1.0
     assert d.moment(1) == pytest.approx(1.0)
     assert d.moment(2) == pytest.approx(4.0 / 3.0)
-    assert d.inverse_cdf(0.75) == pytest.approx(1.5)
+    assert d.inverse_sf(1 - 0.75) == pytest.approx(1.5)
     with pytest.raises(ValueError):
         uniform(2.0, 1.0)
     with pytest.raises(ValueError):
@@ -52,10 +52,10 @@ def test_uniform_basics():
 
 def test_shifted_rayleigh_basics():
     d = shifted_rayleigh(shift=0.5, scale=0.1)
-    assert d.cdf(0.5) == 0.0
+    assert 1.0 - d.sf(0.5) == 0.0
     assert d.sf(0.6) == pytest.approx(math.exp(-0.5), rel=1e-14)
-    u = d.cdf(0.73)
-    assert d.inverse_cdf(u) == pytest.approx(0.73, rel=1e-12)
+    u = 1.0 - d.sf(0.73)
+    assert d.inverse_sf(1 - u) == pytest.approx(0.73, rel=1e-12)
     with pytest.raises(ValueError):
         shifted_rayleigh(shift=-0.1, scale=1.0)
     with pytest.raises(ValueError):
@@ -74,24 +74,23 @@ def test_shifted_rayleigh_moments_of_narrow_laws(shift, scale, j):
     assert shifted_rayleigh(shift, scale).moment(j) == pytest.approx(exact, rel=1e-9, abs=0.0)
 
 
-def test_cdf_only_lifetime_fallbacks():
-    # Exp(1) described only by its CDF: every derived quantity must appear
-    ref = exponential(1.0)
-    bare = LifetimeDistribution(cdf=lambda t: -math.expm1(-t), name="bare-exp")
+def test_lifetime_moment_fallback():
+    # Exp(1) given no moment: the moments come from quadrature of sf
+    bare = LifetimeDistribution(sf=lambda t: math.exp(-t), inverse_sf=lambda q: -math.log(q),
+                                name="bare-exp")
     assert bare.moment(2) == pytest.approx(2.0, rel=1e-9)
-    for u in (0.1, 0.5, 0.93):
-        assert bare.inverse_cdf(u) == pytest.approx(ref.inverse_cdf(u), abs=1e-9)
     with pytest.raises(ValueError):
-        bare.inverse_cdf(0.0)
+        LifetimeDistribution(sf=lambda t: 1.0 - t, inverse_sf=lambda q: 1.0 - q,
+                             support=(-1.0, 1.0))
     with pytest.raises(ValueError):
-        LifetimeDistribution(cdf=lambda t: t, support=(-1.0, 1.0))
-    with pytest.raises(ValueError):
-        LifetimeDistribution(cdf=lambda t: t, support=(1.0, 1.0))
+        LifetimeDistribution(sf=lambda t: 1.0 - t, inverse_sf=lambda q: 1.0 - q,
+                             support=(1.0, 1.0))
 
 
 def test_heavy_tail_moment_raises():
     # sf(t) = 1/(1+t) has no finite mean; quadrature must refuse, not hang
-    d = LifetimeDistribution(cdf=lambda t: t / (1.0 + t), name="heavy")
+    d = LifetimeDistribution(sf=lambda t: 1.0 / (1.0 + t), inverse_sf=lambda q: 1.0 / q - 1.0,
+                             name="heavy")
     with pytest.raises(QuadratureError):
         d.moment(1)
 
@@ -100,6 +99,18 @@ def test_chain_spec_validation():
     with pytest.raises(ValueError):
         ChainSpec(exponential(1.0), 0)
     assert ChainSpec(exponential(1.0), 2).moment_m == 2.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ChainSpec(exponential(1.0), 2.0),
+    lambda: ChainSpec(exponential(1.0), 1.5),
+    lambda: exponential(math.inf),
+    lambda: uniform(0.0, math.inf),
+    lambda: shifted_rayleigh(0.0, math.inf),
+], ids=["m_float", "m_fraction", "exp_inf_rate", "uniform_inf_hi", "rayleigh_inf_scale"])
+def test_bad_lifetime_and_chain_parameters_raise_value_error(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 # --------------------------------------------------------------------------
@@ -112,6 +123,17 @@ def test_exponential_is_fixed_point(m):
     for y in np.linspace(0.0, 4.0, 17):
         want = -math.expm1(-y)
         assert stationary_cdf(spec, float(y)) == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("m", [8, 10])
+def test_exponential_fixed_point_at_deep_memory(m):
+    # the integrand sf(s + y) s^(m-1) must stay exact far into the tail, or
+    # quadrature of it runs out of subdivisions
+    spec = ChainSpec(exponential(1.0), m)
+    for y in np.linspace(0.0, 12.0, 49):
+        y = float(y)
+        assert stationary_sf(spec, y) == pytest.approx(math.exp(-y), rel=0, abs=1e-12)
+        assert stationary_cdf(spec, y) == pytest.approx(-math.expm1(-y), rel=0, abs=1e-12)
 
 
 def test_uniform_stationary_closed_forms():
@@ -218,12 +240,12 @@ def test_laplace_transform_verify_path():
 
 
 def test_laplace_transform_verify_catches_bad_moment():
-    # a lifetime whose claimed E[Y^m] contradicts its CDF must be caught by
+    # a lifetime whose claimed E[Y^m] contradicts its sf must be caught by
     # the Monte-Carlo cross-check
     lying = LifetimeDistribution(
-        cdf=lambda t: -math.expm1(-t),
+        sf=lambda t: math.exp(-t),
+        inverse_sf=lambda q: -math.log(q),
         moment=lambda j: 2.0 * math.factorial(j),
-        inverse_cdf=lambda u: -math.log1p(-u),
         name="lying-exp",
     )
     spec = ChainSpec(lying, 1)
@@ -266,14 +288,33 @@ def test_sample_chain_starts_from_empty_history():
     dist = uniform(0.5, 1.0)
     for seed in (0, 1, 2, 3):
         first = sample_chain(ChainSpec(dist, 2), steps=1, burn_in=0, seed=seed)[0]
-        assert first == dist.inverse_cdf(1.0 - np.random.default_rng(seed).random())
+        assert first == dist.inverse_sf(1.0 - np.random.default_rng(seed).random())
 
 
-def test_sample_chain_where_cdf_rounds_to_one():
-    # forty Exp(1) values sum past 37, where F rounds to 1: p is capped below
-    # 1 and the overshoot clamped at 0, so no step raises or goes negative
-    draws = sample_chain(ChainSpec(exponential(1.0), 40), steps=2000, burn_in=0, seed=0)
+def test_sample_chain_deep_memory_exponential():
+    # Exp(1) is the stationary law at every m; the step must resolve a
+    # survival far below one ulp of 1
+    draws = sample_chain(ChainSpec(exponential(1.0), 30), steps=51_000, burn_in=1000, seed=1)
+    assert kstest(draws, lambda y: 1.0 - np.exp(-np.asarray(y))).statistic < 0.01
+    assert abs(draws.mean() - 1.0) < 0.01
+    assert not np.any(draws == 0.0)
+
+
+def test_sample_chain_where_sf_underflows():
+    # 800 Exp(1) values sum past 745, where sf underflows to 0: the step is 0
+    # there instead of raising in log(0)
+    draws = sample_chain(ChainSpec(exponential(1.0), 800), steps=3000, burn_in=0, seed=1)
     assert np.all(draws >= 0.0) and np.all(np.isfinite(draws))
+    assert np.any(draws == 0.0)
+
+
+def test_sample_chain_clamps_rounded_inverse():
+    # an inverse that lands slightly short of sigma gives a clamped 0 step,
+    # never a negative value
+    short = LifetimeDistribution(sf=lambda t: math.exp(-t),
+                                 inverse_sf=lambda q: -math.log(q) * 0.999, name="short-exp")
+    draws = sample_chain(ChainSpec(short, 3), steps=10_000, burn_in=0, seed=1)
+    assert np.all(draws >= 0.0)
     assert np.any(draws == 0.0)
 
 
